@@ -12,8 +12,7 @@ from .coupling import (KernelMoments, PowerSpectrum, fdt_check,
                        ohmic_coupling, power_spectrum, psd_expansion)
 from .noise import (NoiseTrace, WhiteSeed, colour, coloured_trace,
                     derive_seed, white_gaussian)
-from .dynamics import (IntegratorConfig, Trajectory, effective_field,
-                       integrate, step_llg, step_lorentzian)
+from .dynamics import IntegratorConfig, Trajectory, integrate
 from .experiments import (SweepResult, ensemble_average,
                           equilibration_time,
                           equivalent_classical_temperature, method_config,

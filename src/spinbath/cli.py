@@ -365,7 +365,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> int:
         else:
             raise ConfigurationError(f"unknown mode {cfg.mode!r}")
     except IntegrationDivergedError as err:
-        print(f"error: integration diverged at step {err.step}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,12 +19,17 @@ rotates the initial spin by a stage rotation vector, so |s| is preserved to
 machine precision at any step size, while the update remains 4th order.
 Plain vector-space RK4 drifts |s| by ~1e-3 over 1e4 steps at dt = 0.15,
 which is far outside the required conservation.
+
+Each bath has exactly one step definition, a kernel that runs on float lanes
+(a single spin) or on array lanes (the sites of one system, or independent
+ensemble members run side by side); see "Lanes" below.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .coupling import DEFAULT_CUTOFF, PowerSpectrum, power_spectrum
 from .model import (BathParams, ConfigurationError, IntegrationDivergedError,
                     LorentzianParams, OhmicParams, ParameterError, SpinSystem,
                     UnitFrame)
-from .noise import NoiseTrace, site_seed, trace_for_run
+from .noise import site_seed, trace_for_run
 
 OHMIC_NOISE_KINDS = ("classical-ohmic", "quantum-ohmic")
 LORENTZIAN_NOISE_KINDS = ("quantum-lorentzian", "classical-lorentzian")
@@ -48,8 +53,6 @@ class IntegratorConfig:
     temperature: float = 0.0
     dt: float = 0.15
     t_max: float = 150.0
-    scheme: str = "rk4"
-    renormalize: bool = False
     cutoff: float | None = None
     noise_margin: float | None = None
 
@@ -58,8 +61,6 @@ class IntegratorConfig:
             raise ParameterError("dt must be positive")
         if self.t_max < self.dt:
             raise ParameterError("t_max must be at least one step")
-        if self.scheme != "rk4":
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.temperature < 0.0:
             raise ParameterError("temperature must be >= 0")
         if self.noise_kind is not None:
@@ -114,136 +115,23 @@ def build_spectrum(cfg: IntegratorConfig) -> PowerSpectrum | None:
 
 
 # --------------------------------------------------------------------------
-# rotation-group helpers (vectorized over leading axes, vectors on last axis)
+# Lanes.  Each bath has one RK4 kernel, written once in plain arithmetic.  It
+# runs on "lanes": Python floats for a single spin, or (B,) arrays whose
+# entries are B independent ensemble members or the B sites of one system.
+# Elementwise numpy arithmetic rounds exactly like float arithmetic, and
+# numpy's sin and cos agree with the math module's on x86-64 Linux (numpy
+# 2.4), so a lane reproduces the float run of the same spin bit for bit; the
+# lane tests check this on the machine they run on.  The pieces
+# that cannot be plain arithmetic are injected: the rotation coefficients,
+# the norm square root and the finiteness test (Lanes), one sink per
+# recorded channel, and for coupled sites the exchange field.
 
-def _cross(a, b):
-    out = np.empty(np.broadcast(a, b).shape)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
+class _StepBlowup(ArithmeticError):
+    pass
 
-
-def _rot(u, s):
-    """Rotate s by the rotation vector u (Rodrigues, series-safe near 0)."""
-    th2 = np.sum(u * u, axis=-1, keepdims=True)
-    th = np.sqrt(th2)
-    small = th < 1e-8
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - th2 / 6.0, np.sin(th) / np.where(small, 1.0, th))
-        b = np.where(small, 0.5 - th2 / 24.0,
-                     (1.0 - np.cos(th)) / np.where(small, 1.0, th2))
-    c = _cross(u, s)
-    return s + a * c + b * _cross(u, c)
-
-
-def _dexpinv(u, w):
-    """Inverse differential of the exponential map, truncated for order 4."""
-    c = _cross(u, w)
-    return w - 0.5 * c + _cross(u, c) / 12.0
-
-
-# --------------------------------------------------------------------------
-# public single-step operations (general, vectorized over sites)
-
-def _exchange_field(sys: SpinSystem, spins, out):
-    for (n, m), j in sys.exchange.items():
-        out[n] += j @ spins[m]
-    return out
-
-
-def effective_field(sys: SpinSystem, site: int, t: float,
-                    noise: NoiseTrace | None, bath=None) -> np.ndarray:
-    """Unit-free field at `site` and time `t`: b_ext + noise + exchange + V."""
-    f = sys.b_ext_dir.copy()
-    if noise is not None:
-        n = noise.n_samples
-        x = t / noise.dt
-        if t < 0.0 or x > n - 1 + 1e-9:
-            raise ParameterError(f"t={t} outside the noise trace")
-        i = min(int(x), n - 2)
-        frac = x - i
-        f += (1.0 - frac) * noise.components[:, i] + frac * noise.components[:, i + 1]
-    if sys.exchange:
-        buf = np.zeros((sys.n_sites, 3))
-        _exchange_field(sys, sys.spins, buf)
-        f += buf[site]
-    if isinstance(bath, OhmicParams):
-        return f
-    return f + sys.aux_v[site]
-
-
-def step_llg(sys: SpinSystem, dt: float, noise_values, eta: float,
-             sign_gamma: float = -1.0) -> SpinSystem:
-    """One step of the explicit Landau-Lifshitz form; mutates sys in place."""
-    h = dt
-    gp = sign_gamma / (1.0 + eta * eta)
-    lam = eta / (1.0 + eta * eta)
-    e = sys.b_ext_dir
-    s0 = sys.spins
-    zeros = np.zeros_like(s0)
-    b0, bh, b1 = noise_values if noise_values is not None else (zeros, zeros, zeros)
-
-    def omega(s, b):
-        f = e + b  # fresh array; exchange may accumulate into it
-        if sys.exchange:
-            _exchange_field(sys, s, f)
-        return -gp * f + lam * _cross(s, f)
-
-    k1 = omega(s0, b0)
-    u2 = (0.5 * h) * k1
-    k2 = _dexpinv(u2, omega(_rot(u2, s0), bh))
-    u3 = (0.5 * h) * k2
-    k3 = _dexpinv(u3, omega(_rot(u3, s0), bh))
-    u4 = h * k3
-    k4 = _dexpinv(u4, omega(_rot(u4, s0), b1))
-    u = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    sys.spins = _rot(u, s0)
-    return sys
-
-
-def step_lorentzian(sys: SpinSystem, dt: float, noise_values,
-                    p: LorentzianParams, sign_gamma: float = -1.0) -> SpinSystem:
-    """One step of the coupled spin + (V, W) system; mutates sys in place."""
-    h = dt
-    h2 = 0.5 * h
-    w0sq = p.omega0 ** 2
-    gam = p.gamma_width
-    al = p.alpha
-    e = sys.b_ext_dir
-    s0, v0, w0 = sys.spins, sys.aux_v, sys.aux_w
-    zeros = np.zeros_like(s0)
-    b0, bh, b1 = noise_values if noise_values is not None else (zeros, zeros, zeros)
-
-    def rhs(s, v, w, b):
-        f = e + b + v  # fresh array; exchange may accumulate into it
-        if sys.exchange:
-            _exchange_field(sys, s, f)
-        return -sign_gamma * f, w, -w0sq * v - gam * w + al * s
-
-    k1o, k1v, k1w = rhs(s0, v0, w0, b0)
-    u2 = h2 * k1o
-    o2, k2v, k2w = rhs(_rot(u2, s0), v0 + h2 * k1v, w0 + h2 * k1w, bh)
-    k2o = _dexpinv(u2, o2)
-    u3 = h2 * k2o
-    o3, k3v, k3w = rhs(_rot(u3, s0), v0 + h2 * k2v, w0 + h2 * k2w, bh)
-    k3o = _dexpinv(u3, o3)
-    u4 = h * k3o
-    o4, k4v, k4w = rhs(_rot(u4, s0), v0 + h * k3v, w0 + h * k3w, b1)
-    k4o = _dexpinv(u4, o4)
-    u = (h / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
-    sys.spins = _rot(u, s0)
-    sys.aux_v = v0 + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    sys.aux_w = w0 + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    return sys
-
-
-# --------------------------------------------------------------------------
-# scalar fast paths: hand-unrolled single-site steppers on Python floats.
-# These mirror step_llg / step_lorentzian exactly; the unrolling buys a
-# ~40x speedup over per-step numpy on one spin.
 
 def _rot_coeffs(th2):
+    """Rodrigues coefficients sin(th)/th, (1-cos(th))/th^2, series-safe near 0."""
     if th2 < 1e-16:
         return 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
     if not th2 * 0.0 == 0.0:  # inf or NaN: the state blew up mid-step
@@ -252,20 +140,78 @@ def _rot_coeffs(th2):
     return math.sin(th) / th, (1.0 - math.cos(th)) / th2
 
 
-class _StepBlowup(ArithmeticError):
-    pass
+def _rot_coeffs_lanes(th2):
+    """_rot_coeffs on arrays; a blown-up lane turns NaN instead of raising."""
+    th = np.sqrt(th2)
+    a = np.sin(th) / th
+    b = (1.0 - np.cos(th)) / th2
+    small = th2 < 1e-16
+    if small.any():  # rare with noise; masking beats np.where on every call
+        a[small] = 1.0 - th2[small] / 6.0
+        b[small] = 0.5 - th2[small] / 24.0
+    return a, b
 
 
-def _scalar_llg(s, noise, n_steps, h, eta, sign_gamma, e, renorm):
+def _raise_if_nonfinite(step, x):
+    if not x * 0.0 == 0.0:
+        raise IntegrationDivergedError(step)
+
+
+def _raise_if_any_nonfinite(step, x):
+    if not np.isfinite(x).all():
+        raise IntegrationDivergedError(step)
+
+
+class Lanes(NamedTuple):
+    """Lane-type operations a kernel needs beyond arithmetic.
+
+    check(step, x) is called after every step with a lane value that is
+    non-finite exactly where the state blew up; it raises or records.
+    """
+
+    coeffs: Callable
+    sqrt: Callable
+    check: Callable
+
+
+FLOAT_LANES = Lanes(_rot_coeffs, math.sqrt, _raise_if_nonfinite)
+SITE_LANES = Lanes(_rot_coeffs_lanes, np.sqrt, _raise_if_any_nonfinite)
+
+
+def _skip(value):
+    """Sink of a channel that is not recorded."""
+
+
+def _row_sink(buf):
+    """Sink writing successive lane values into the rows of buf."""
+    rows = iter(buf)
+
+    def put(value):
+        next(rows)[...] = value
+    return put
+
+
+def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
+               exchange=None):
+    """Memory-free bath: n_steps of RK4 in rotation coordinates.
+
+    s = (sx, sy, sz) lanes; noise = (bx, by, bz), each indexable by grid
+    point 0..n_steps and giving lanes (or floats, shared by every lane);
+    e = b_ext_dir.  sinks = (x, y, z, norm) receive the initial state and
+    the state after every step.  exchange, if given, maps spin lanes to the
+    exchange-field lanes.
+    """
     sx, sy, sz = s
     ex, ey, ez = e
     bxl, byl, bzl = noise
+    coeffs, sqrt, check = lanes
+    ax, ay, az, an = sinks
+    xch = exchange
     gp = sign_gamma / (1.0 + eta * eta)
     lam = eta / (1.0 + eta * eta)
     h2 = 0.5 * h
     h6 = h / 6.0
-    out_x = [sx]; out_y = [sy]; out_z = [sz]; out_n = [math.sqrt(sx * sx + sy * sy + sz * sz)]
-    ax, ay, az, an = out_x.append, out_y.append, out_z.append, out_n.append
+    ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
     i = -1
     try:
         for i in range(n_steps):
@@ -273,47 +219,63 @@ def _scalar_llg(s, noise, n_steps, h, eta, sign_gamma, e, renorm):
             b1x = ex + bxl[i + 1]; b1y = ey + byl[i + 1]; b1z = ez + bzl[i + 1]
             bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
-            o1x = -gp * b0x + lam * (sy * b0z - sz * b0y)
-            o1y = -gp * b0y + lam * (sz * b0x - sx * b0z)
-            o1z = -gp * b0z + lam * (sx * b0y - sy * b0x)
+            fx = b0x; fy = b0y; fz = b0z
+            if xch is not None:
+                jx, jy, jz = xch(sx, sy, sz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            o1x = -gp * fx + lam * (sy * fz - sz * fy)
+            o1y = -gp * fy + lam * (sz * fx - sx * fz)
+            o1z = -gp * fz + lam * (sx * fy - sy * fx)
 
             ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             px = sx + a * cx + b * (uy * cz - uz * cy)
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
-            rx = -gp * bhx + lam * (py * bhz - pz * bhy)
-            ry = -gp * bhy + lam * (pz * bhx - px * bhz)
-            rz = -gp * bhz + lam * (px * bhy - py * bhx)
+            fx = bhx; fy = bhy; fz = bhz
+            if xch is not None:
+                jx, jy, jz = xch(px, py, pz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            rx = -gp * fx + lam * (py * fz - pz * fy)
+            ry = -gp * fy + lam * (pz * fx - px * fz)
+            rz = -gp * fz + lam * (px * fy - py * fx)
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
             o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
             o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
             o2z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
 
             ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             px = sx + a * cx + b * (uy * cz - uz * cy)
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
-            rx = -gp * bhx + lam * (py * bhz - pz * bhy)
-            ry = -gp * bhy + lam * (pz * bhx - px * bhz)
-            rz = -gp * bhz + lam * (px * bhy - py * bhx)
+            fx = bhx; fy = bhy; fz = bhz
+            if xch is not None:
+                jx, jy, jz = xch(px, py, pz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            rx = -gp * fx + lam * (py * fz - pz * fy)
+            ry = -gp * fy + lam * (pz * fx - px * fz)
+            rz = -gp * fz + lam * (px * fy - py * fx)
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
             o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
             o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
             o3z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
 
             ux = h * o3x; uy = h * o3y; uz = h * o3z
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             px = sx + a * cx + b * (uy * cz - uz * cy)
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
-            rx = -gp * b1x + lam * (py * b1z - pz * b1y)
-            ry = -gp * b1y + lam * (pz * b1x - px * b1z)
-            rz = -gp * b1z + lam * (px * b1y - py * b1x)
+            fx = b1x; fy = b1y; fz = b1z
+            if xch is not None:
+                jx, jy, jz = xch(px, py, pz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            rx = -gp * fx + lam * (py * fz - pz * fy)
+            ry = -gp * fy + lam * (pz * fx - px * fz)
+            rz = -gp * fz + lam * (px * fy - py * fx)
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
             o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
             o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
@@ -322,40 +284,43 @@ def _scalar_llg(s, noise, n_steps, h, eta, sign_gamma, e, renorm):
             ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
             uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
             uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             sx = sx + a * cx + b * (uy * cz - uz * cy)
             sy = sy + a * cy + b * (uz * cx - ux * cz)
             sz = sz + a * cz + b * (ux * cy - uy * cx)
 
             nrm2 = sx * sx + sy * sy + sz * sz
-            if not nrm2 * 0.0 == 0.0:
-                raise IntegrationDivergedError(i + 1)
-            nrm = math.sqrt(nrm2)
-            if renorm:
-                sx /= nrm; sy /= nrm; sz /= nrm
-            ax(sx); ay(sy); az(sz); an(nrm)
+            check(i + 1, nrm2)
+            ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
     except (_StepBlowup, OverflowError):
         raise IntegrationDivergedError(i + 1) from None
-    return out_x, out_y, out_z, out_n
 
 
-def _scalar_lorentzian(s, noise, n_steps, h, p, sign_gamma, e, renorm):
+def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
+                      sinks, exchange=None):
+    """Resonant bath: n_steps of RK4, rotation coordinates for s and plain
+    coordinates for the auxiliary vectors V, W.
+
+    Arguments as for llg_kernel, plus the initial v = (vx, vy, vz) and
+    w = (wx, wy, wz) lanes; sinks = (x, y, z, norm, v_x, v_y, v_z).
+    """
     sx, sy, sz = s
+    vx, vy, vz = v
+    wx, wy, wz = w
     ex, ey, ez = e
     bxl, byl, bzl = noise
-    vx = vy = vz = wx = wy = wz = 0.0
+    coeffs, sqrt, check = lanes
+    ax, ay, az, an, avx, avy, avz = sinks
+    xch = exchange
     g = sign_gamma
     w0sq = p.omega0 ** 2
     gam = p.gamma_width
     al = p.alpha
     h2 = 0.5 * h
     h6 = h / 6.0
-    out_x = [sx]; out_y = [sy]; out_z = [sz]
-    out_n = [math.sqrt(sx * sx + sy * sy + sz * sz)]
-    out_vx = [vx]; out_vy = [vy]; out_vz = [vz]
-    ax, ay, az, an = out_x.append, out_y.append, out_z.append, out_n.append
-    avx, avy, avz = out_vx.append, out_vy.append, out_vz.append
+    ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
+    avx(vx); avy(vy); avz(vz)
     i = -1
     try:
         for i in range(n_steps):
@@ -363,21 +328,29 @@ def _scalar_lorentzian(s, noise, n_steps, h, p, sign_gamma, e, renorm):
             b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = bzl[i + 1]
             bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
-            o1x = -g * (ex + b0x + vx); o1y = -g * (ey + b0y + vy); o1z = -g * (ez + b0z + vz)
+            fx = ex + b0x + vx; fy = ey + b0y + vy; fz = ez + b0z + vz
+            if xch is not None:
+                jx, jy, jz = xch(sx, sy, sz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            o1x = -g * fx; o1y = -g * fy; o1z = -g * fz
             dv1x = wx; dv1y = wy; dv1z = wz
             dw1x = -w0sq * vx - gam * wx + al * sx
             dw1y = -w0sq * vy - gam * wy + al * sy
             dw1z = -w0sq * vz - gam * wz + al * sz
 
             ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             px = sx + a * cx + b * (uy * cz - uz * cy)
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             v2x = vx + h2 * dv1x; v2y = vy + h2 * dv1y; v2z = vz + h2 * dv1z
             w2x = wx + h2 * dw1x; w2y = wy + h2 * dw1y; w2z = wz + h2 * dw1z
-            rx = -g * (ex + bhx + v2x); ry = -g * (ey + bhy + v2y); rz = -g * (ez + bhz + v2z)
+            fx = ex + bhx + v2x; fy = ey + bhy + v2y; fz = ez + bhz + v2z
+            if xch is not None:
+                jx, jy, jz = xch(px, py, pz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            rx = -g * fx; ry = -g * fy; rz = -g * fz
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
             o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
             o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
@@ -388,14 +361,18 @@ def _scalar_lorentzian(s, noise, n_steps, h, p, sign_gamma, e, renorm):
             dw2z = -w0sq * v2z - gam * w2z + al * pz
 
             ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             px = sx + a * cx + b * (uy * cz - uz * cy)
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             v3x = vx + h2 * dv2x; v3y = vy + h2 * dv2y; v3z = vz + h2 * dv2z
             w3x = wx + h2 * dw2x; w3y = wy + h2 * dw2y; w3z = wz + h2 * dw2z
-            rx = -g * (ex + bhx + v3x); ry = -g * (ey + bhy + v3y); rz = -g * (ez + bhz + v3z)
+            fx = ex + bhx + v3x; fy = ey + bhy + v3y; fz = ez + bhz + v3z
+            if xch is not None:
+                jx, jy, jz = xch(px, py, pz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            rx = -g * fx; ry = -g * fy; rz = -g * fz
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
             o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
             o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
@@ -406,14 +383,18 @@ def _scalar_lorentzian(s, noise, n_steps, h, p, sign_gamma, e, renorm):
             dw3z = -w0sq * v3z - gam * w3z + al * pz
 
             ux = h * o3x; uy = h * o3y; uz = h * o3z
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             px = sx + a * cx + b * (uy * cz - uz * cy)
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             v4x = vx + h * dv3x; v4y = vy + h * dv3y; v4z = vz + h * dv3z
             w4x = wx + h * dw3x; w4y = wy + h * dw3y; w4z = wz + h * dw3z
-            rx = -g * (ex + b1x + v4x); ry = -g * (ey + b1y + v4y); rz = -g * (ez + b1z + v4z)
+            fx = ex + b1x + v4x; fy = ey + b1y + v4y; fz = ez + b1z + v4z
+            if xch is not None:
+                jx, jy, jz = xch(px, py, pz)
+                fx = fx + jx; fy = fy + jy; fz = fz + jz
+            rx = -g * fx; ry = -g * fy; rz = -g * fz
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
             o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
             o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
@@ -426,29 +407,24 @@ def _scalar_lorentzian(s, noise, n_steps, h, p, sign_gamma, e, renorm):
             ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
             uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
             uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
-            a, b = _rot_coeffs(ux * ux + uy * uy + uz * uz)
+            a, b = coeffs(ux * ux + uy * uy + uz * uz)
             cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
             sx = sx + a * cx + b * (uy * cz - uz * cy)
             sy = sy + a * cy + b * (uz * cx - ux * cz)
             sz = sz + a * cz + b * (ux * cy - uy * cx)
-            vx += h6 * (dv1x + 2.0 * (dv2x + dv3x) + dv4x)
-            vy += h6 * (dv1y + 2.0 * (dv2y + dv3y) + dv4y)
-            vz += h6 * (dv1z + 2.0 * (dv2z + dv3z) + dv4z)
-            wx += h6 * (dw1x + 2.0 * (dw2x + dw3x) + dw4x)
-            wy += h6 * (dw1y + 2.0 * (dw2y + dw3y) + dw4y)
-            wz += h6 * (dw1z + 2.0 * (dw2z + dw3z) + dw4z)
+            vx = vx + h6 * (dv1x + 2.0 * (dv2x + dv3x) + dv4x)
+            vy = vy + h6 * (dv1y + 2.0 * (dv2y + dv3y) + dv4y)
+            vz = vz + h6 * (dv1z + 2.0 * (dv2z + dv3z) + dv4z)
+            wx = wx + h6 * (dw1x + 2.0 * (dw2x + dw3x) + dw4x)
+            wy = wy + h6 * (dw1y + 2.0 * (dw2y + dw3y) + dw4y)
+            wz = wz + h6 * (dw1z + 2.0 * (dw2z + dw3z) + dw4z)
 
             nrm2 = sx * sx + sy * sy + sz * sz
-            if not (nrm2 + vx + vy + vz + wx + wy + wz) * 0.0 == 0.0:
-                raise IntegrationDivergedError(i + 1)
-            nrm = math.sqrt(nrm2)
-            if renorm:
-                sx /= nrm; sy /= nrm; sz /= nrm
-            ax(sx); ay(sy); az(sz); an(nrm)
+            check(i + 1, nrm2 + vx + vy + vz + wx + wy + wz)
+            ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
             avx(vx); avy(vy); avz(vz)
     except (_StepBlowup, OverflowError):
         raise IntegrationDivergedError(i + 1) from None
-    return out_x, out_y, out_z, out_n, out_vx, out_vy, out_vz
 
 
 # --------------------------------------------------------------------------
@@ -461,96 +437,138 @@ def noise_traces(cfg: IntegratorConfig, seed: int, n_sites: int):
                           cfg.margin_time) for k in range(n_sites)]
 
 
+def _lane_noise(traces, width: int, n_steps: int):
+    """Noise lanes (bx, by, bz) from one NoiseTrace per lane.
+
+    The traces are copied into a (3, n_steps+1, width) buffer one at a
+    time, so an iterator keeps a single full trace alive.
+    """
+    buf = np.empty((3, n_steps + 1, width))
+    for k, tr in enumerate(traces):
+        buf[:, :, k] = tr.components[:, :n_steps + 1]
+    return buf[0], buf[1], buf[2]
+
+
+def _exchange_lanes(sys: SpinSystem):
+    """Exchange field on site lanes, as one (3S x 3S) matrix product.
+
+    Lanes are component-major: row c*S + n holds component c of site n.
+    """
+    n = sys.n_sites
+    mat = np.zeros((3 * n, 3 * n))
+    for (a, b), j in sys.exchange.items():
+        mat[a::n, b::n] += j
+
+    def field(px, py, pz):
+        f = mat @ np.concatenate((px, py, pz))
+        return f[:n], f[n:2 * n], f[2 * n:]
+    return field
+
+
+def _site_major(channels) -> np.ndarray:
+    """(sites, n_steps+1, k) array from k recorded channels, each a list of
+    floats (one site) or an (n_steps+1, sites) array."""
+    a = np.stack(channels, axis=-1)
+    if a.ndim == 2:
+        a = a[:, None, :]
+    return np.ascontiguousarray(a.transpose(1, 0, 2))
+
+
+def _run_kernel(cfg: IntegratorConfig, s, v, w, noise, e, lanes, sinks,
+                exchange=None):
+    with np.errstate(all="ignore"):  # blown-up array lanes go NaN quietly
+        if isinstance(cfg.bath, LorentzianParams):
+            lorentzian_kernel(s, v, w, noise, cfg.n_steps, cfg.dt, cfg.bath,
+                              cfg.frame.sign_gamma, e, lanes, sinks, exchange)
+        else:
+            llg_kernel(s, noise, cfg.n_steps, cfg.dt, cfg.bath.eta,
+                       cfg.frame.sign_gamma, e, lanes, sinks[:4], exchange)
+
+
 def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
               traces=None) -> Trajectory:
     """Integrate the system over cfg.t_max; pure in (initial state, cfg, seed).
 
     The caller's SpinSystem is left untouched.  `traces` overrides the
     internally generated noise (one NoiseTrace per site), which is how
-    shared-noise comparisons across methods are run.
+    shared-noise comparisons across methods are run.  One spin runs on
+    float lanes; several sites run as the lanes of one array kernel.
     """
-    work = sys.copy()
     n_steps = cfg.n_steps
+    n_sites = sys.n_sites
     if traces is None:
-        traces = noise_traces(cfg, seed, work.n_sites)
+        traces = noise_traces(cfg, seed, n_sites)
     if traces is not None:
-        if len(traces) != work.n_sites:
+        if len(traces) != n_sites:
             raise ConfigurationError("need one noise trace per site")
         for tr in traces:
             if tr.n_samples < n_steps + 1:
                 raise ConfigurationError("noise trace shorter than the run")
 
     lorentzian = isinstance(cfg.bath, LorentzianParams)
-    if work.n_sites == 1 and not work.exchange:
-        s0 = tuple(float(x) for x in work.spins[0])
-        e = tuple(float(x) for x in work.b_ext_dir)
-        if traces is None:
-            flat = [0.0] * (n_steps + 1)
-            noise = (flat, flat, flat)
-        else:
+    e = tuple(float(x) for x in sys.b_ext_dir)
+    if traces is None:
+        flat = [0.0] * (n_steps + 1)
+        noise = (flat, flat, flat)
+    if n_sites == 1:
+        s, v, w = (tuple(float(x) for x in a[0])
+                   for a in (sys.spins, sys.aux_v, sys.aux_w))
+        if traces is not None:
             noise = tuple(traces[0].components[j].tolist() for j in range(3))
-        if lorentzian:
-            xs, ys, zs, ns, vxs, vys, vzs = _scalar_lorentzian(
-                s0, noise, n_steps, cfg.dt, cfg.bath, cfg.frame.sign_gamma, e,
-                cfg.renormalize)
-            aux = np.stack([vxs, vys, vzs], axis=-1)[None, :, :]
-        else:
-            xs, ys, zs, ns = _scalar_llg(
-                s0, noise, n_steps, cfg.dt, cfg.bath.eta, cfg.frame.sign_gamma,
-                e, cfg.renormalize)
-            aux = None
-        spins = np.stack([xs, ys, zs], axis=-1)[None, :, :]
-        norms = np.asarray(ns)[None, :]
+        channels = [[] for _ in range(7)]
+        sinks = [c.append for c in channels]
+        lanes, exchange = FLOAT_LANES, None
     else:
-        spins, norms, aux = _run_general(work, cfg, traces)
+        s, v, w = (tuple(np.array(a[:, j]) for j in range(3))
+                   for a in (sys.spins, sys.aux_v, sys.aux_w))
+        if traces is not None:
+            noise = _lane_noise(traces, n_sites, n_steps)
+        channels = [np.empty((n_steps + 1, n_sites)) for _ in range(7)]
+        sinks = [_row_sink(c) for c in channels]
+        lanes = SITE_LANES
+        exchange = _exchange_lanes(sys) if sys.exchange else None
+    _run_kernel(cfg, s, v, w, noise, e, lanes, sinks, exchange)
 
     times = np.arange(n_steps + 1) * cfg.dt
-    return Trajectory(times=times, spins=spins, norms=norms, aux_v=aux)
+    spins = _site_major(channels[:3])
+    norms = np.asarray(channels[3]).reshape(n_steps + 1, n_sites).T
+    return Trajectory(times=times, spins=spins,
+                      norms=np.ascontiguousarray(norms),
+                      aux_v=_site_major(channels[4:]) if lorentzian else None)
 
 
-def _run_general(work: SpinSystem, cfg: IntegratorConfig, traces):
-    n_sites = work.n_sites
+def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
+    """s_z(t) of independent single-spin runs, one per seed, as the lanes
+    of one kernel.
+
+    Column k is bit-identical to
+    integrate(SpinSystem.single(initial_spin), cfg, seed=seeds[k]).sz().
+    Only s_z is recorded.  Returns (sz, steps): sz has shape
+    (n_steps+1, len(seeds)), and steps[k] is the step at which member k
+    diverged (its column is then non-finite from there on), 0 if it did not.
+    """
+    width = len(seeds)
     n_steps = cfg.n_steps
-    lorentzian = isinstance(cfg.bath, LorentzianParams)
-    if traces is not None:
-        # (n_steps+1, n_sites, 3) for cheap per-step slicing
-        b_all = np.stack([tr.components.T for tr in traces], axis=1)
+    sys = SpinSystem.single(initial_spin)
+    if cfg.noise_kind is None:
+        flat = [0.0] * (n_steps + 1)
+        noise = (flat, flat, flat)
     else:
-        b_all = None
+        noise = _lane_noise((noise_traces(cfg, seed, 1)[0] for seed in seeds),
+                            width, n_steps)
+    steps = np.zeros(width, dtype=np.int64)
 
-    spins = np.empty((n_steps + 1, n_sites, 3))
-    norms = np.empty((n_steps + 1, n_sites))
-    aux = np.empty((n_steps + 1, n_sites, 3)) if lorentzian else None
-    spins[0] = work.spins
-    norms[0] = np.linalg.norm(work.spins, axis=1)
-    if lorentzian:
-        aux[0] = work.aux_v
+    def record_divergence(step, x):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            steps[bad & (steps == 0)] = step
 
-    sg = cfg.frame.sign_gamma
-    for i in range(n_steps):
-        if b_all is not None:
-            b0 = b_all[i]
-            b1 = b_all[i + 1]
-            nv = (b0, 0.5 * (b0 + b1), b1)
-        else:
-            nv = None
-        if lorentzian:
-            step_lorentzian(work, cfg.dt, nv, cfg.bath, sg)
-        else:
-            step_llg(work, cfg.dt, nv, cfg.bath.eta, sg)
-        nrm = np.sqrt(np.sum(work.spins * work.spins, axis=1))
-        state_ok = np.isfinite(work.spins).all() and np.isfinite(work.aux_v).all() \
-            and np.isfinite(work.aux_w).all()
-        if not state_ok:
-            raise IntegrationDivergedError(i + 1)
-        if cfg.renormalize:
-            work.spins /= nrm[:, None]
-        spins[i + 1] = work.spins
-        norms[i + 1] = nrm
-        if lorentzian:
-            aux[i + 1] = work.aux_v
-
-    spins_t = np.ascontiguousarray(spins.transpose(1, 0, 2))
-    norms_t = np.ascontiguousarray(norms.T)
-    aux_t = np.ascontiguousarray(aux.transpose(1, 0, 2)) if lorentzian else None
-    return spins_t, norms_t, aux_t
+    s = tuple(np.full(width, float(x)) for x in sys.spins[0])
+    zeros = tuple(np.zeros(width) for _ in range(3))
+    e = tuple(float(x) for x in sys.b_ext_dir)
+    sz = np.empty((n_steps + 1, width))
+    sinks = [_skip] * 7
+    sinks[2] = _row_sink(sz)
+    _run_kernel(cfg, s, zeros, zeros, noise, e,
+                Lanes(_rot_coeffs_lanes, np.sqrt, record_divergence), sinks)
+    return sz, [int(k) for k in steps]

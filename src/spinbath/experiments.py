@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, integrate
+from .dynamics import IntegratorConfig, integrate, integrate_members
 from .model import (HBAR, KB, SET1, SET2, IntegrationDivergedError,
                     OhmicParams, ParameterError, SpinSystem, UnitFrame)
 from .noise import derive_seed
@@ -100,12 +100,44 @@ class EnsembleResult:
     diverged: list
 
 
-def _traj_sz_job(args):
-    cfg, seed, initial_spin = args
-    try:
-        return ("ok", integrate(SpinSystem.single(initial_spin), cfg, seed=seed).sz())
-    except IntegrationDivergedError as err:
-        return ("diverged", err.step)
+# Ensemble members run in batches, each batch as the lanes of one array
+# kernel (dynamics.integrate_members).  A batch holds its noise, three
+# components, and its recorded s_z: 32*(n_steps+1) bytes per member.  16 MB
+# fits 248 members at the desk ensemble t_max (2,011 steps); at full scale
+# (301,593 steps) it fits one, and members run on float lanes one by one.
+LANE_BUDGET_BYTES = 16_000_000
+# Batches narrower than this run member by member on float lanes instead.
+# Kernel time per member-step, set2 Lorentzian / quantum LLG, best of 5 on a
+# 2-core x86-64 VM with numpy 2.4.6: float lanes 6.7 / 5.7 us; 25 array
+# lanes 13.4 / 8.3 us (slower); 50 lanes 6.0 / 3.9 us (faster); 100 lanes
+# 3.3 / 1.9 us.  64 sits above the crossover with a margin for CPU drift.
+MIN_LANES = 64
+
+
+def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
+    """Contiguous (start, stop) member ranges: as few as the byte budget
+    allows, but at least one per worker."""
+    cap = max(1, LANE_BUDGET_BYTES // (32 * (n_steps + 1)))
+    n_batches = max(-(-n_traj // cap), min(workers, n_traj))
+    edges = [n_traj * k // n_batches for k in range(n_batches + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _batch_sz_job(args):
+    """(sz, steps) of one batch: sz (n_steps+1, members), steps[k] the step
+    member k diverged at, 0 if it did not."""
+    cfg, seeds, initial_spin, as_lanes = args
+    if as_lanes:
+        return integrate_members(cfg, seeds, initial_spin)
+    sz = np.empty((cfg.n_steps + 1, len(seeds)))
+    steps = [0] * len(seeds)
+    for k, seed in enumerate(seeds):
+        try:
+            traj = integrate(SpinSystem.single(initial_spin), cfg, seed=seed)
+            sz[:, k] = traj.sz()
+        except IntegrationDivergedError as err:
+            steps[k] = err.step
+    return sz, steps
 
 
 def _pmap(job, items, workers: int):
@@ -121,39 +153,46 @@ def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
                      workers: int = 1) -> EnsembleResult:
     """Pointwise mean and standard error of s_z over seeded trajectories.
 
-    Member i uses seed base_seed XOR i; members are independent work items,
-    and the reduction is ordered by index, so the result does not depend on
-    `workers`.  Diverged members are excluded with a warning; more than 1%
-    diverging is a failure.
+    Member i uses seed base_seed XOR i.  Members are split into contiguous
+    batches, as few as LANE_BUDGET_BYTES allows but at least one per
+    worker; a batch of at least MIN_LANES members runs as the lanes of one
+    array kernel recording only s_z, a narrower one member by member.
+    Either way every member is bit-identical to its own integrate() run,
+    and the reduction is ordered by member index, so the result depends
+    neither on `workers` nor on the batch split.  Diverged members are
+    excluded with a warning; more than 1% diverging raises
+    IntegrationDivergedError naming the first diverged member and its step.
     """
     if n_traj < 2:
         raise ParameterError("n_traj must be >= 2")
-    jobs = [(cfg, derive_seed(base_seed, i), tuple(initial_spin))
-            for i in range(n_traj)]
-    results = _pmap(_traj_sz_job, jobs, workers)
-    mean = None
-    m2 = None
+    seeds = [derive_seed(base_seed, i) for i in range(n_traj)]
+    bounds = _ensemble_batches(n_traj, cfg.n_steps, workers)
+    jobs = [(cfg, seeds[a:b], tuple(initial_spin), b - a >= MIN_LANES)
+            for a, b in bounds]
+    results = _pmap(_batch_sz_job, jobs, workers)
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    mean = np.zeros(len(times))
+    m2 = np.zeros(len(times))
     n_used = 0
     diverged = []
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    for i, (status, payload) in enumerate(results):
-        if status == "diverged":
-            diverged.append((i, payload))
-            continue
-        sz = payload
-        if mean is None:
-            mean = np.zeros_like(sz)
-            m2 = np.zeros_like(sz)
-        # Welford update: exactly zero spread for identical members
-        n_used += 1
-        delta = sz - mean
-        mean += delta / n_used
-        m2 += delta * (sz - mean)
+    for (start, _), (sz, steps) in zip(bounds, results):
+        for k, step in enumerate(steps):
+            if step:
+                diverged.append((start + k, step))
+                continue
+            # Welford update: exactly zero spread for identical members
+            n_used += 1
+            delta = sz[:, k] - mean
+            mean += delta / n_used
+            m2 += delta * (sz[:, k] - mean)
     if diverged:
         warnings.warn(f"{len(diverged)} of {n_traj} trajectories diverged")
         if len(diverged) > 0.01 * n_traj:
-            raise RuntimeError(
-                f"more than 1% of trajectories diverged: {diverged[:5]}...")
+            member, step = diverged[0]
+            raise IntegrationDivergedError(
+                step, f"integration diverged at step {step} in ensemble "
+                f"member {member} ({len(diverged)} of {n_traj} members "
+                f"diverged, more than 1%)")
     stderr = np.sqrt(m2 / max(n_used - 1, 1)) / math.sqrt(n_used)
     return EnsembleResult(times=times, sz_mean=mean, sz_stderr=stderr,
                           n_used=n_used, diverged=diverged)

@@ -180,6 +180,34 @@ class TestMain:
         meta = (tmp_path / "trajectory.csv").read_text()
         assert "seed=7" in meta  # CLI override recorded
 
+    def test_diverging_ensemble_exits_with_message(self, tmp_path, capsys):
+        ini = tmp_path / "unstable.ini"
+        ini.write_text("""
+[frame]
+b_ext_tesla = 10.0
+
+[bath]
+kind = lorentzian
+omega0 = 50
+gamma_width = 1
+alpha = 1
+
+[run]
+mode = trajectory
+dt = 0.5
+t_max = 30
+n_traj = 4
+""")
+        assert main(["--config", str(ini), "--out", str(tmp_path)]) == 1
+        assert "error: integration diverged at step 5\n" in capsys.readouterr().err
+        with pytest.warns(UserWarning):
+            status = main(["--config", str(ini), "--out", str(tmp_path),
+                           "--mode", "ensemble"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "error: integration diverged at step 5 in ensemble member 0" in err
+        assert not (tmp_path / "ensemble.csv").exists()
+
     def test_validate_mode_passes_on_defaults(self, capsys):
         assert main(["--mode", "validate"]) == 0
         out = capsys.readouterr().out

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.dynamics import (IntegratorConfig, _dexpinv, _rot,
-                               effective_field, integrate, step_llg,
-                               step_lorentzian)
-from spinbath.experiments import DEFAULT_ETA, method_config
+from spinbath import dynamics
+from spinbath.dynamics import (FLOAT_LANES, SITE_LANES, IntegratorConfig,
+                               integrate, integrate_members, llg_kernel,
+                               lorentzian_kernel)
+from spinbath.experiments import DEFAULT_ETA, METHOD_TAGS, method_config
 from spinbath.model import (ConfigurationError, IntegrationDivergedError,
                             LorentzianParams, OhmicParams, ParameterError,
                             SET1, SET2, SpinSystem, build_unit_frame)
@@ -24,29 +25,73 @@ def single_run(bath, t_max, dt, spin=(-1, 0, 0), noise_kind=None, temp=0.0,
     return integrate(SpinSystem.single(spin), cfg, seed=seed)
 
 
+def llg_step(field, spin, h, eta=0.0, lanes=FLOAT_LANES):
+    """One llg_kernel step in a constant field, noise-free; returns s."""
+    rec = [[] for _ in range(4)]
+    quiet = ([0.0, 0.0],) * 3
+    with np.errstate(invalid="ignore"):  # 0/0 on a zero-angle array lane
+        llg_kernel(tuple(spin), quiet, 1, h, eta, -1.0, tuple(field), lanes,
+                   [r.append for r in rec])
+    return np.array([rec[0][-1], rec[1][-1], rec[2][-1]])
+
+
+def reference_llg_step(spin, field, h, eta, dexpinv_order=2):
+    """Textbook RK4 in exponential coordinates, written with numpy vectors."""
+    gp = -1.0 / (1.0 + eta * eta)
+    lam = eta / (1.0 + eta * eta)
+
+    def omega(s):
+        return -gp * field + lam * np.cross(s, field)
+
+    def rot(u, s):
+        th = np.linalg.norm(u)
+        c = np.cross(u, s)
+        return (s + math.sin(th) / th * c
+                + (1.0 - math.cos(th)) / th ** 2 * np.cross(u, c))
+
+    def dexpinv(u, w):
+        c = np.cross(u, w)
+        return w - 0.5 * c + (np.cross(u, c) / 12.0 if dexpinv_order == 2 else 0.0)
+
+    s = np.asarray(spin, dtype=float)
+    k1 = omega(s)
+    u2 = 0.5 * h * k1
+    k2 = dexpinv(u2, omega(rot(u2, s)))
+    u3 = 0.5 * h * k2
+    k3 = dexpinv(u3, omega(rot(u3, s)))
+    u4 = h * k3
+    k4 = dexpinv(u4, omega(rot(u4, s)))
+    return rot(h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), s)
+
+
 class TestRotationHelpers:
+    # an undamped step in a constant field is the exact rotation by -g h f
     @given(st.lists(st.floats(-3, 3), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_rotation_preserves_norm(self, vals):
-        u = np.array(vals[:3])
+        f = np.array(vals[:3])
         s = np.array(vals[3:])
-        out = _rot(u, s)
+        out = llg_step(f, s, 1.0)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(s), abs=1e-12)
 
     @given(st.lists(st.floats(-2, 2), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_rotation_inverts(self, vals):
-        u = np.array(vals[:3])
+        f = np.array(vals[:3])
         s = np.array(vals[3:])
-        back = _rot(-u, _rot(u, s))
+        back = llg_step(f, llg_step(f, s, 1.0), -1.0)
         np.testing.assert_allclose(back, s, atol=1e-10)
 
     def test_dexpinv_leading_terms(self):
-        u = np.array([0.0, 0.0, 0.2])
-        w = np.array([1.0, 0.0, 0.0])
-        out = _dexpinv(u, w)
-        c = np.cross(u, w)
-        np.testing.assert_allclose(out, w - 0.5 * c + np.cross(u, c) / 12.0)
+        # with damping the stage generators do not commute, so the step
+        # depends on the dexpinv correction w - u x w / 2 + u x (u x w) / 12
+        s = np.array([-1.0, 0.0, 0.0])
+        f = np.array([0.2, -0.1, 1.0])
+        out = llg_step(f, s, 0.5, eta=0.3)
+        np.testing.assert_allclose(out, reference_llg_step(s, f, 0.5, 0.3),
+                                   atol=1e-14)
+        truncated = reference_llg_step(s, f, 0.5, 0.3, dexpinv_order=1)
+        assert np.max(np.abs(out - truncated)) > 1e-6
 
 
 class TestDeterministicMotion:
@@ -167,53 +212,74 @@ class TestEmbedding:
         k = lorentzian_kernel_time(tau, SET1)
         v_oracle = np.array([simpson(k * traj.spins[0, :, j], dx=dt)
                              for j in range(3)])
-        sys = SpinSystem.single((-1, 0, 0))
-        sys.spins[0] = traj.spins[0, i]
-        sys.aux_v[0] = traj.aux_v[0, i]
-        field = effective_field(sys, 0, 0.0, None)
-        expect = sys.b_ext_dir + v_oracle
-        np.testing.assert_allclose(field, expect, atol=3e-6)
+        # field the spin sees at the last step: b_ext + V (no noise)
+        b_ext = SpinSystem.single((-1, 0, 0)).b_ext_dir
+        field = b_ext + traj.aux_v[0, i]
+        np.testing.assert_allclose(field, b_ext + v_oracle, atol=3e-6)
 
 
 class TestEffectiveField:
+    # one-step integrations that expose the field the kernel assembles
+
     def test_bare_field_for_quiet_single_spin(self):
-        sys = SpinSystem.single((0, 0, 1))
-        np.testing.assert_allclose(effective_field(sys, 0, 0.0, None),
-                                   [0.0, 0.0, 1.0])
+        # unit precession about b_ext: ds/dt = g s x b_ext with g = -1
+        h = 0.1
+        traj = single_run(OhmicParams(0.0), t_max=h, dt=h, spin=(1, 0, 0))
+        np.testing.assert_allclose(traj.spins[0, 1],
+                                   [math.cos(h), math.sin(h), 0.0], atol=1e-12)
 
     def test_exchange_adds_coupled_neighbour(self):
+        # site fields (j, 0, 1) and (0, 0, 1 + j): initial ds/dt = -s x f
         j = 0.25
+        h = 1e-4
         sys = SpinSystem(spins=np.array([[0, 0, 1.0], [1.0, 0, 0]]),
                          exchange={(0, 1): j * np.eye(3), (1, 0): j * np.eye(3)})
-        f0 = effective_field(sys, 0, 0.0, None)
-        np.testing.assert_allclose(f0, [j, 0.0, 1.0])
-        f1 = effective_field(sys, 1, 0.0, None)
-        np.testing.assert_allclose(f1, [0.0, 0.0, 1.0 + j])
+        cfg = IntegratorConfig(frame=FRAME, bath=OhmicParams(0.0), dt=h, t_max=h)
+        traj = integrate(sys, cfg)
+        rate = (traj.spins[:, 1] - traj.spins[:, 0]) / h
+        np.testing.assert_allclose(rate[0], [0.0, -j, 0.0], atol=1e-3)
+        np.testing.assert_allclose(rate[1], [0.0, 1.0 + j, 0.0], atol=1e-3)
 
     def test_noise_is_linearly_interpolated(self):
-        comp = np.zeros((3, 3))
-        comp[0] = [0.0, 1.0, 0.0]
-        trace = NoiseTrace(components=comp, dt=1.0, provenance=(None, "test"))
-        sys = SpinSystem.single((0, 0, 1))
-        f = effective_field(sys, 0, 0.5, trace)
-        assert f[0] == pytest.approx(0.5)
+        # a field along b_ext ramping 0 -> 1 over the step: with the
+        # half-step value interpolated to 0.5 the rotation angle is
+        # h * (1 + 0.5) exactly
+        h = 0.5
+        comp = np.zeros((3, 2))
+        comp[2] = [0.0, 1.0]
+        trace = NoiseTrace(components=comp, dt=h, provenance=(None, "test"))
+        cfg = IntegratorConfig(frame=FRAME, bath=OhmicParams(0.0), dt=h, t_max=h)
+        traj = integrate(SpinSystem.single((1, 0, 0)), cfg, traces=[trace])
+        np.testing.assert_allclose(traj.spins[0, 1],
+                                   [math.cos(0.75), math.sin(0.75), 0.0],
+                                   atol=1e-14)
 
     def test_time_outside_trace_rejected(self):
-        trace = NoiseTrace(components=np.zeros((3, 4)), dt=1.0,
-                           provenance=(None, "test"))
+        cfg = IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02), dt=1.0,
+                               t_max=3.0)
         sys = SpinSystem.single((0, 0, 1))
-        with pytest.raises(ParameterError):
-            effective_field(sys, 0, 3.5, trace)
-        with pytest.raises(ParameterError):
-            effective_field(sys, 0, -0.1, trace)
+        short = NoiseTrace(components=np.zeros((3, 3)), dt=1.0,
+                           provenance=(None, "test"))
+        with pytest.raises(ConfigurationError):
+            integrate(sys, cfg, traces=[short])
+        exact = NoiseTrace(components=np.zeros((3, 4)), dt=1.0,
+                           provenance=(None, "test"))
+        assert integrate(sys, cfg, traces=[exact]).spins.shape == (1, 4, 3)
 
     def test_memory_free_bath_excludes_aux_field(self):
-        sys = SpinSystem.single((0, 0, 1))
-        sys.aux_v[0] = [0.3, 0.0, 0.0]
-        with_aux = effective_field(sys, 0, 0.0, None)
-        without = effective_field(sys, 0, 0.0, None, bath=OhmicParams(0.02))
-        assert with_aux[0] == pytest.approx(0.3)
-        assert without[0] == 0.0
+        primed = SpinSystem.single((1, 0, 0))
+        primed.aux_v[0] = [0.3, 0.0, 0.0]
+        plain = SpinSystem.single((1, 0, 0))
+        ohmic = IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02), dt=0.1,
+                                 t_max=1.0)
+        a = integrate(primed, ohmic)
+        assert a.aux_v is None
+        assert np.array_equal(a.spins, integrate(plain, ohmic).spins)
+        # the resonant bath starts from the given V and feels it
+        lor = IntegratorConfig(frame=FRAME, bath=SET2, dt=0.1, t_max=1.0)
+        b = integrate(primed, lor)
+        np.testing.assert_array_equal(b.aux_v[0, 0], [0.3, 0.0, 0.0])
+        assert not np.array_equal(b.spins, integrate(plain, lor).spins)
 
 
 class TestIntegratorPlumbing:
@@ -256,8 +322,10 @@ class TestIntegratorPlumbing:
         traj = integrate(pair, cfg, seed=90)
         a = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=site_seed(90, 0))
         b = integrate(SpinSystem.single((0, 1.0, 0)), cfg, seed=site_seed(90, 1))
-        np.testing.assert_allclose(traj.spins[0], a.spins[0], atol=1e-12)
-        np.testing.assert_allclose(traj.spins[1], b.spins[0], atol=1e-12)
+        assert np.array_equal(traj.spins[0], a.spins[0])
+        assert np.array_equal(traj.spins[1], b.spins[0])
+        assert np.array_equal(traj.norms, np.concatenate([a.norms, b.norms]))
+        assert np.array_equal(traj.aux_v, np.concatenate([a.aux_v, b.aux_v]))
 
     def test_exchange_coupled_pair_conserves_norms(self):
         sys = SpinSystem(spins=np.array([[0.6, 0, 0.8], [-1.0, 0, 0]]),
@@ -282,13 +350,6 @@ class TestIntegratorPlumbing:
         tb = integrate(SpinSystem.single((-1, 0, 0)), b, seed=3)
         assert np.array_equal(ta.spins, tb.spins)
 
-    def test_renormalize_flag_accepted(self):
-        cfg = method_config("llg-classical", FRAME, 10.0, t_max=30.0)
-        import dataclasses
-        cfg = dataclasses.replace(cfg, renormalize=True)
-        traj = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=2)
-        assert traj.max_norm_drift() < 1e-12
-
     def test_noise_margins_follow_bath_memory(self):
         assert method_config("llg-classical", FRAME, 1.0).margin_time == 10.0
         assert method_config("lorentzian-set1", FRAME, 1.0).margin_time == 10.0
@@ -307,8 +368,6 @@ class TestIntegratorPlumbing:
         with pytest.raises(ParameterError):
             IntegratorConfig(frame=FRAME, bath=SET1, dt=0.15, t_max=0.01)
         with pytest.raises(ConfigurationError):
-            IntegratorConfig(frame=FRAME, bath=SET1, scheme="euler", t_max=1.0)
-        with pytest.raises(ConfigurationError):
             IntegratorConfig(frame=FRAME, bath=SET1, noise_kind="quantum-ohmic",
                              t_max=1.0)
         with pytest.raises(ConfigurationError):
@@ -317,17 +376,15 @@ class TestIntegratorPlumbing:
 
 
 class TestSingleSteps:
-    def test_step_llg_advances_in_place(self):
-        sys = SpinSystem.single((1, 0, 0))
-        step_llg(sys, 0.1, None, eta=0.0, sign_gamma=-1.0)
-        assert sys.spins[0, 0] == pytest.approx(math.cos(0.1), abs=1e-8)
-        assert np.linalg.norm(sys.spins[0]) == pytest.approx(1.0, abs=1e-14)
+    def test_step_llg_advances_one_rotation(self):
+        traj = single_run(OhmicParams(0.0), t_max=0.1, dt=0.1, spin=(1, 0, 0))
+        assert traj.spins[0, 1, 0] == pytest.approx(math.cos(0.1), abs=1e-8)
+        assert traj.norms[0, 1] == pytest.approx(1.0, abs=1e-14)
 
     def test_step_lorentzian_builds_memory_field(self):
-        sys = SpinSystem.single((1, 0, 0))
-        step_lorentzian(sys, 0.1, None, SET2, sign_gamma=-1.0)
-        assert np.linalg.norm(sys.aux_v) > 0.0
-        assert np.linalg.norm(sys.spins[0]) == pytest.approx(1.0, abs=1e-14)
+        traj = single_run(SET2, t_max=0.1, dt=0.1, spin=(1, 0, 0))
+        assert np.linalg.norm(traj.aux_v[0, 1]) > 0.0
+        assert traj.norms[0, 1] == pytest.approx(1.0, abs=1e-14)
 
     def test_shared_xi_different_spectra_decohere_slowly_when_weak(self):
         # weak-noise regime: same white samples coloured by the two matched
@@ -338,3 +395,86 @@ class TestSingleSteps:
         tl = integrate(SpinSystem.single((-1, 0, 0)), cfg_l, seed=2024)
         to = integrate(SpinSystem.single((-1, 0, 0)), cfg_o, seed=2024)
         assert np.max(np.abs(tl.sz() - to.sz())) < 0.05
+
+
+def bad_noise_for(seed_to_break, step):
+    """noise_traces that sends one seed's field to inf from grid point `step`."""
+    real = dynamics.noise_traces
+
+    def patched(cfg, seed, n_sites):
+        traces = real(cfg, seed, n_sites)
+        if seed == seed_to_break:
+            traces[0].components[:, step:] = np.inf
+        return traces
+    return patched
+
+
+class TestLanes:
+    @pytest.mark.parametrize("method,temp", [(m, 1.0) for m in METHOD_TAGS]
+                             + [("llg-classical", 0.0)])
+    def test_members_bit_identical_to_integrate(self, method, temp):
+        cfg = method_config(method, FRAME, temp, t_max=30.0)
+        seeds = [3, 9, 1000, 77]
+        sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
+        assert sz.shape == (cfg.n_steps + 1, len(seeds))
+        assert steps == [0, 0, 0, 0]
+        for k, seed in enumerate(seeds):
+            one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seed)
+            assert np.array_equal(sz[:, k], one.sz())
+
+    @given(st.lists(st.floats(-2, 2), min_size=15, max_size=15),
+           st.floats(0.01, 0.6))
+    @settings(max_examples=100, deadline=None)
+    def test_float_and_array_lanes_agree_bitwise(self, vals, h):
+        # one resonant-bath step from an arbitrary (s, V, W) and noise
+        s = np.array(vals[0:3])
+        norm = np.linalg.norm(s)
+        s = s / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0])
+        state = (s, vals[3:6], vals[6:9])
+        noise = [[vals[9 + j], vals[12 + j]] for j in range(3)]
+
+        def step(lanes, lane):
+            rec = [[] for _ in range(7)]
+            s_, v_, w_ = (tuple(lane(x) for x in q) for q in state)
+            noise_ = tuple([lane(x) for x in n] for n in noise)
+            with np.errstate(invalid="ignore"):
+                lorentzian_kernel(s_, v_, w_, noise_, 1, h, SET2, -1.0,
+                                  (0.0, 0.0, 1.0), lanes,
+                                  [r.append for r in rec])
+            return np.array([np.ravel(r[-1])[0] for r in rec])
+
+        assert np.array_equal(step(FLOAT_LANES, float),
+                              step(SITE_LANES, lambda x: np.array([x, x])))
+
+    def test_zero_rotation_takes_the_series_on_every_lane(self):
+        # lane 0 sits in zero field (rotation angle 0), lane 1 does not
+        s = (np.array([1.0, 0.6]), np.array([0.0, 0.0]), np.array([0.0, 0.8]))
+        e = (np.array([0.0, 0.3]), np.array([0.0, 0.0]), np.array([0.0, 1.0]))
+        out = llg_step(e, s, 0.5, eta=0.1, lanes=SITE_LANES)
+        for k in range(2):
+            one = llg_step([x[k] for x in e], [x[k] for x in s], 0.5, eta=0.1)
+            assert np.array_equal(out[:, k], one)
+        assert np.array_equal(out[:, 0], [1.0, 0.0, 0.0])
+
+    def test_diverging_member_reported_with_integrate_step(self, monkeypatch):
+        cfg = method_config("llg-classical", FRAME, 10.0, t_max=15.0)
+        seeds = [5, 6, 7, 8]
+        monkeypatch.setattr(dynamics, "noise_traces", bad_noise_for(7, 40))
+        with pytest.raises(IntegrationDivergedError) as err:
+            integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=7)
+        sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
+        assert steps == [0, 0, err.value.step, 0]
+        assert not np.isfinite(sz[err.value.step, 2])
+        for k in (0, 1, 3):
+            one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seeds[k])
+            assert np.array_equal(sz[:, k], one.sz())
+
+    def test_sites_as_lanes_raise_on_divergence(self):
+        bad = LorentzianParams(omega0=50.0, gamma_width=1.0, alpha=1.0)
+        cfg = IntegratorConfig(frame=FRAME, bath=bad, dt=0.5, t_max=40.0)
+        pair = SpinSystem(spins=np.array([[-1.0, 0, 0], [0, 1.0, 0]]))
+        with pytest.raises(IntegrationDivergedError) as err:
+            integrate(pair, cfg)
+        with pytest.raises(IntegrationDivergedError) as one:
+            integrate(SpinSystem.single((-1, 0, 0)), cfg)
+        assert err.value.step == one.value.step

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinbath import dynamics, experiments
 from spinbath.dynamics import integrate
 from spinbath.experiments import (DEFAULT_ETA, METHOD_TAGS,
                                   averaged_steady_state, ensemble_average,
@@ -10,7 +11,8 @@ from spinbath.experiments import (DEFAULT_ETA, METHOD_TAGS,
                                   equivalent_classical_temperature,
                                   method_config, statphys_oracle,
                                   steady_state_sz, temperature_sweep)
-from spinbath.model import ParameterError, SET1, SpinSystem, build_unit_frame
+from spinbath.model import (IntegrationDivergedError, ParameterError, SET1,
+                            SpinSystem, build_unit_frame)
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
 FRAME200 = build_unit_frame(10.0, -1.76e11, 200)
@@ -79,6 +81,50 @@ class TestEnsembleAverage:
         a = ensemble_average(cfg, 6, base_seed=3, workers=1)
         b = ensemble_average(cfg, 6, base_seed=3, workers=2)
         assert np.array_equal(a.sz_mean, b.sz_mean)
+
+    def test_batches_follow_budget_and_workers(self):
+        batches = experiments._ensemble_batches
+        assert batches(100, 2011, 1) == [(0, 100)]
+        assert batches(100, 2011, 2) == [(0, 50), (50, 100)]
+        assert batches(600, 2011, 1) == [(0, 200), (200, 400), (400, 600)]
+        assert len(batches(500, 301593, 1)) == 500  # full scale: floats
+
+    def test_batch_split_does_not_change_the_result(self, monkeypatch):
+        cfg = method_config("lorentzian-set2", FRAME, 1.0, t_max=15.0)
+        n = 2 * experiments.MIN_LANES
+        one_batch = ensemble_average(cfg, n, base_seed=4)
+        two_batches = ensemble_average(cfg, n, base_seed=4, workers=2)
+        monkeypatch.setattr(experiments, "MIN_LANES", n + 1)
+        floats = ensemble_average(cfg, n, base_seed=4)
+        monkeypatch.setattr(experiments, "MIN_LANES", 8)
+        monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
+                            50 * 32 * (cfg.n_steps + 1))
+        three_batches = ensemble_average(cfg, n, base_seed=4)
+        for other in (two_batches, floats, three_batches):
+            assert np.array_equal(other.sz_mean, one_batch.sz_mean)
+            assert np.array_equal(other.sz_stderr, one_batch.sz_stderr)
+        assert one_batch.n_used == n
+
+    def test_divergence_names_first_member_and_step(self, monkeypatch):
+        cfg = method_config("llg-classical", FRAME, 10.0, t_max=15.0)
+        real = dynamics.noise_traces
+
+        def patched(cfg, seed, n_sites):
+            traces = real(cfg, seed, n_sites)
+            if seed in (3, 90):  # members 3 and 90 at base_seed 0
+                traces[0].components[:, 40:] = np.inf
+            return traces
+        monkeypatch.setattr(dynamics, "noise_traces", patched)
+        with pytest.warns(UserWarning):
+            res = ensemble_average(cfg, 200, base_seed=0)
+        assert res.diverged == [(3, 40), (90, 40)]
+        assert res.n_used == 198
+        with pytest.warns(UserWarning), \
+                pytest.raises(IntegrationDivergedError) as err:
+            ensemble_average(cfg, 100, base_seed=0)  # members 3 and 90
+        assert isinstance(err.value, RuntimeError)
+        assert err.value.step == 40
+        assert "step 40 in ensemble member 3" in str(err.value)
 
     def test_classical_relaxation_plateau(self):
         cfg = method_config("llg-classical", FRAME, 1.0, t_max=300.0)
