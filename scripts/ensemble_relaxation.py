@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 from spinbath import build_unit_frame
+from spinbath.cli import write_csv
 from spinbath.experiments import (METHOD_TAGS, ensemble_average,
                                   equilibration_time, method_config)
 
@@ -40,21 +41,15 @@ def main():
             t_eq[method] = equilibration_time(res.times, res.sz_mean, band=0.10)
 
         path = args.out / f"relaxation_n{n_halves}_T{temp:g}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# spin_halves={n_halves} temperature={temp} "
-                     f"n_traj={args.n_traj} seed={args.seed}\n")
-            fh.write("# t_eq: " + ", ".join(f"{m}={t_eq[m]:.2f}"
-                                            for m in METHOD_TAGS) + "\n")
-            cols = ["t"]
-            for m in METHOD_TAGS:
-                cols += [f"{m}_mean", f"{m}_err"]
-            fh.write(",".join(cols) + "\n")
-            times = curves[METHOD_TAGS[0]].times
-            for i, t in enumerate(times):
-                row = [t]
-                for m in METHOD_TAGS:
-                    row += [curves[m].sz_mean[i], curves[m].sz_stderr[i]]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        meta = [f"spin_halves={n_halves} temperature={temp} "
+                f"n_traj={args.n_traj} seed={args.seed}",
+                "t_eq: " + ", ".join(f"{m}={t_eq[m]:.2f}" for m in METHOD_TAGS)]
+        names = ["t"]
+        cols = [curves[METHOD_TAGS[0]].times.tolist()]
+        for m in METHOD_TAGS:
+            names += [f"{m}_mean", f"{m}_err"]
+            cols += [curves[m].sz_mean.tolist(), curves[m].sz_stderr.tolist()]
+        write_csv(path, meta, ",".join(names), zip(*cols))
         print(f"wrote {path}")
 
 

@@ -11,6 +11,7 @@ import math
 from pathlib import Path
 
 from spinbath import SpinSystem, build_unit_frame, integrate
+from spinbath.cli import write_csv
 from spinbath.experiments import METHOD_TAGS, method_config
 
 PAIRS = ((1, 1.0), (200, 200.0))
@@ -42,13 +43,10 @@ def main():
 
         path = args.out / f"trajectories_n{n_halves}_T{temp:g}.csv"
         names = sorted(columns)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# spin_halves={n_halves} temperature={temp} "
-                     f"seed={args.seed} dt={args.dt} t_max={args.t_max}\n")
-            fh.write("t," + ",".join(names) + "\n")
-            for i, t in enumerate(times):
-                row = ",".join(f"{columns[c][i]:.17g}" for c in names)
-                fh.write(f"{t:.17g},{row}\n")
+        meta = [f"spin_halves={n_halves} temperature={temp} "
+                f"seed={args.seed} dt={args.dt} t_max={args.t_max}"]
+        write_csv(path, meta, ",".join(["t"] + names),
+                  zip(times.tolist(), *(columns[c].tolist() for c in names)))
         print(f"wrote {path}")
 
 

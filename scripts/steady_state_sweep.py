@@ -12,8 +12,8 @@ import math
 from pathlib import Path
 
 from spinbath import build_unit_frame
-from spinbath.experiments import (METHOD_TAGS, statphys_oracle,
-                                  temperature_sweep)
+from spinbath.cli import sweep_table, write_csv
+from spinbath.experiments import METHOD_TAGS, temperature_sweep
 
 TEMPS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
 
@@ -37,18 +37,9 @@ def main():
                                     seed=args.seed, n_replicas=args.replicas,
                                     workers=args.workers)
         path = args.out / f"steady_state_n{n}.csv"
-        cols = ["temperature", "oracle"]
-        for r in results:
-            cols += [f"{r.method}_sz", f"{r.method}_err", f"{r.method}_m"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# spin_halves={n} t_max={t_max} seed={args.seed} "
-                     f"replicas={args.replicas}\n")
-            fh.write(",".join(cols) + "\n")
-            for ti, temp in enumerate(TEMPS):
-                row = [temp, statphys_oracle(n, temp, frame)]
-                for r in results:
-                    row += [r.sz_mean[ti], r.sz_stderr[ti], r.rescaled[ti]]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        meta = [f"spin_halves={n} t_max={t_max} seed={args.seed} "
+                f"replicas={args.replicas}"]
+        write_csv(path, meta, *sweep_table(TEMPS, frame, results))
         print(f"wrote {path}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .experiments import (DEFAULT_ETA, DESK_SWEEP_T_MAX, METHOD_TAGS,
 from .model import (GAMMA_ELECTRON, SET1, SET2, ConfigurationError,
                     IntegrationDivergedError, LorentzianParams, OhmicParams,
                     ParameterError, SpinSystem, UnitFrame, build_unit_frame)
-from .noise import WhiteSeed, coloured_trace, dump_trace
+from .noise import WhiteSeed, coloured_trace
 
 MODES = ("trajectory", "ensemble", "sweep", "validate")
 
@@ -203,15 +204,34 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _write_csv(path: Path, metadata: list[str], header: str, rows) -> None:
+def write_csv(path: Path, metadata: list[str], header: str, rows) -> None:
+    """Write '# '-prefixed metadata lines, the header, then the rows.
+
+    rows is any iterable of tuples of floats or small ints, one per line,
+    consumed as it is written; every cell is formatted '%.17g', which for
+    an int below 1e17 is str(n).
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in metadata:
-            fh.write(f"# {line}\n")
+        fh.writelines(f"# {line}\n" for line in metadata)
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+        fh.writelines(map(fmt.__mod__, rows))
+
+
+def sweep_table(temperatures, frame: UnitFrame, results) -> tuple[str, zip]:
+    """Header and rows of a temperature sweep: temperature, the classical
+    oracle, then per method s_z, its error and, if attached, m(T)."""
+    temps = [float(t) for t in temperatures]
+    names = ["temperature", "oracle"]
+    cols = [temps, [statphys_oracle(frame.n_halves, t, frame) for t in temps]]
+    for r in results:
+        names += [f"{r.method}_sz", f"{r.method}_err"]
+        cols += [r.sz_mean.tolist(), r.sz_stderr.tolist()]
+        if r.rescaled is not None:
+            names.append(f"{r.method}_m")
+            cols.append(r.rescaled.tolist())
+    return ",".join(names), zip(*cols)
 
 
 def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> Path:
@@ -220,16 +240,20 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> Path:
     traces = noise_traces(icfg, cfg.seed, sys_.n_sites)
     traj = integrate(sys_, icfg, seed=cfg.seed, traces=traces)
     path = Path(cfg.out_path) if cfg.out_path else out_dir / "trajectory.csv"
-    rows = []
-    for site in range(traj.spins.shape[0]):
-        for i in range(0, len(traj.times), cfg.downsample):
-            s = traj.spins[site, i]
-            rows.append((float(traj.times[i]), site, float(s[0]), float(s[1]),
-                         float(s[2]), float(traj.norms[site, i])))
-    _write_csv(path, cfg.metadata(), "t,site,s_x,s_y,s_z,norm", rows)
+    ds = cfg.downsample
+    times = traj.times[::ds].tolist()
+    rows = itertools.chain.from_iterable(
+        zip(times, itertools.repeat(site), *spins[::ds].T.tolist(),
+            norms[::ds].tolist())
+        for site, (spins, norms) in enumerate(zip(traj.spins, traj.norms)))
+    write_csv(path, cfg.metadata(), "t,site,s_x,s_y,s_z,norm", rows)
     if cfg.dump_noise and traces is not None:
         for site, tr in enumerate(traces):
-            dump_trace(tr, path.with_suffix(f".noise{site}.csv"))
+            write_csv(path.with_suffix(f".noise{site}.csv"),
+                      [f"dt={tr.dt!r}", f"provenance={tr.provenance[1]}"],
+                      "t,b_x,b_y,b_z",
+                      zip((np.arange(tr.n_samples) * tr.dt).tolist(),
+                          *tr.components.tolist()))
     return path
 
 
@@ -240,9 +264,9 @@ def _run_ensemble(cfg: ExperimentConfig, out_dir: Path) -> Path:
     path = Path(cfg.out_path) if cfg.out_path else out_dir / "ensemble.csv"
     meta = cfg.metadata() + [f"n_used={res.n_used}",
                              f"n_diverged={len(res.diverged)}"]
-    rows = [(float(t), float(m), float(e))
-            for t, m, e in zip(res.times, res.sz_mean, res.sz_stderr)]
-    _write_csv(path, meta, "t,sz_mean,sz_stderr", rows)
+    write_csv(path, meta, "t,sz_mean,sz_stderr",
+              zip(res.times.tolist(), res.sz_mean.tolist(),
+                  res.sz_stderr.tolist()))
     return path
 
 
@@ -255,20 +279,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
                                 initial_spin=cfg.initial_spin,
                                 workers=cfg.workers)
     path = Path(cfg.out_path) if cfg.out_path else out_dir / "sweep.csv"
-    cols = ["temperature", "oracle"]
-    for r in results:
-        cols += [f"{r.method}_sz", f"{r.method}_err"]
-        if r.rescaled is not None:
-            cols.append(f"{r.method}_m")
-    rows = []
-    for ti, temp in enumerate(cfg.temperatures):
-        row = [float(temp), statphys_oracle(cfg.spin_halves, temp, frame)]
-        for r in results:
-            row += [float(r.sz_mean[ti]), float(r.sz_stderr[ti])]
-            if r.rescaled is not None:
-                row.append(float(r.rescaled[ti]))
-        rows.append(tuple(row))
-    _write_csv(path, cfg.metadata(), ",".join(cols), rows)
+    write_csv(path, cfg.metadata(),
+              *sweep_table(cfg.temperatures, frame, results))
     return path
 
 

@@ -148,11 +148,6 @@ class PowerSpectrum:
         out = self._reduced(om, zeta)
         return _ret(self._truncate(out, om), scalar)
 
-    # spec name for the callable surface
-    @property
-    def evaluator(self):
-        return self.__call__
-
     def trace_density(self, omega):
         om, scalar = _as_float_array(omega)
         if self.kind in ("classical-ohmic", "classical-lorentzian"):

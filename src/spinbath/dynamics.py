@@ -177,6 +177,13 @@ class Lanes(NamedTuple):
 FLOAT_LANES = Lanes(_rot_coeffs, math.sqrt, _raise_if_nonfinite)
 SITE_LANES = Lanes(_rot_coeffs_lanes, np.sqrt, _raise_if_any_nonfinite)
 
+# integrate_members runs fewer members than this one by one on float lanes.
+# Kernel time per member-step, set2 Lorentzian / quantum LLG, best of 5 on a
+# 2-core x86-64 VM with numpy 2.4.6: float lanes 6.7 / 5.7 us; 25 array
+# lanes 13.4 / 8.3 us (slower); 50 lanes 6.0 / 3.9 us (faster); 100 lanes
+# 3.3 / 1.9 us.  64 sits above the crossover with a margin for CPU drift.
+MIN_LANES = 64
+
 
 def _skip(value):
     """Sink of a channel that is not recorded."""
@@ -437,6 +444,15 @@ def noise_traces(cfg: IntegratorConfig, seed: int, n_sites: int):
                           cfg.margin_time) for k in range(n_sites)]
 
 
+def _float_noise(traces, n_steps: int):
+    """Noise (bx, by, bz) of one spin as float lists; zero, and shared by
+    every lane, without traces."""
+    if traces is None:
+        flat = [0.0] * (n_steps + 1)
+        return flat, flat, flat
+    return tuple(traces[0].components[j].tolist() for j in range(3))
+
+
 def _lane_noise(traces, width: int, n_steps: int):
     """Noise lanes (bx, by, bz) from one NoiseTrace per lane.
 
@@ -504,25 +520,25 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
         for tr in traces:
             if tr.n_samples < n_steps + 1:
                 raise ConfigurationError("noise trace shorter than the run")
+            if tr.dt != cfg.dt:
+                raise ConfigurationError(
+                    f"noise trace dt={tr.dt!r} differs from the run's "
+                    f"dt={cfg.dt!r}")
 
     lorentzian = isinstance(cfg.bath, LorentzianParams)
     e = tuple(float(x) for x in sys.b_ext_dir)
-    if traces is None:
-        flat = [0.0] * (n_steps + 1)
-        noise = (flat, flat, flat)
     if n_sites == 1:
         s, v, w = (tuple(float(x) for x in a[0])
                    for a in (sys.spins, sys.aux_v, sys.aux_w))
-        if traces is not None:
-            noise = tuple(traces[0].components[j].tolist() for j in range(3))
+        noise = _float_noise(traces, n_steps)
         channels = [[] for _ in range(7)]
         sinks = [c.append for c in channels]
         lanes, exchange = FLOAT_LANES, None
     else:
         s, v, w = (tuple(np.array(a[:, j]) for j in range(3))
                    for a in (sys.spins, sys.aux_v, sys.aux_w))
-        if traces is not None:
-            noise = _lane_noise(traces, n_sites, n_steps)
+        noise = (_float_noise(None, n_steps) if traces is None
+                 else _lane_noise(traces, n_sites, n_steps))
         channels = [np.empty((n_steps + 1, n_sites)) for _ in range(7)]
         sinks = [_row_sink(c) for c in channels]
         lanes = SITE_LANES
@@ -537,22 +553,48 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
                       aux_v=_site_major(channels[4:]) if lorentzian else None)
 
 
+def _member_sz_on_floats(cfg: IntegratorConfig, seed: int, s, e):
+    """(sz, step) of one single-spin run on float lanes: sz is the list of
+    s_z up to the step the run diverged at, step that step or 0."""
+    noise = _float_noise(noise_traces(cfg, seed, 1), cfg.n_steps)
+    sz = []
+    sinks = [_skip] * 7
+    sinks[2] = sz.append
+    zeros = (0.0, 0.0, 0.0)
+    try:
+        _run_kernel(cfg, s, zeros, zeros, noise, e, FLOAT_LANES, sinks)
+    except IntegrationDivergedError as err:
+        return sz, err.step
+    return sz, 0
+
+
 def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
-    """s_z(t) of independent single-spin runs, one per seed, as the lanes
-    of one kernel.
+    """s_z(t) of independent single-spin runs, one per seed.
 
     Column k is bit-identical to
     integrate(SpinSystem.single(initial_spin), cfg, seed=seeds[k]).sz().
-    Only s_z is recorded.  Returns (sz, steps): sz has shape
-    (n_steps+1, len(seeds)), and steps[k] is the step at which member k
-    diverged (its column is then non-finite from there on), 0 if it did not.
+    Only s_z is recorded.  At least MIN_LANES seeds run as the lanes of one
+    array kernel, fewer one by one on float lanes.  Returns (sz, steps): sz
+    has shape (n_steps+1, len(seeds)), and steps[k] is the step at which
+    member k diverged (its column is then non-finite from there on), 0 if
+    it did not.
     """
     width = len(seeds)
     n_steps = cfg.n_steps
     sys = SpinSystem.single(initial_spin)
+    e = tuple(float(x) for x in sys.b_ext_dir)
+    sz = np.empty((n_steps + 1, width))
+    if width < MIN_LANES:
+        s = tuple(float(x) for x in sys.spins[0])
+        steps = [0] * width
+        for k, seed in enumerate(seeds):
+            col, steps[k] = _member_sz_on_floats(cfg, seed, s, e)
+            sz[:len(col), k] = col
+            sz[len(col):, k] = math.nan
+        return sz, steps
+
     if cfg.noise_kind is None:
-        flat = [0.0] * (n_steps + 1)
-        noise = (flat, flat, flat)
+        noise = _float_noise(None, n_steps)
     else:
         noise = _lane_noise((noise_traces(cfg, seed, 1)[0] for seed in seeds),
                             width, n_steps)
@@ -565,8 +607,6 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
 
     s = tuple(np.full(width, float(x)) for x in sys.spins[0])
     zeros = tuple(np.zeros(width) for _ in range(3))
-    e = tuple(float(x) for x in sys.b_ext_dir)
-    sz = np.empty((n_steps + 1, width))
     sinks = [_skip] * 7
     sinks[2] = _row_sink(sz)
     _run_kernel(cfg, s, zeros, zeros, noise, e,

@@ -13,7 +13,6 @@ are directly comparable.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,18 +39,23 @@ FULL_N_TRAJ = 500
 
 DEFAULT_INITIAL_SPIN = (-1.0, 0.0, 0.0)
 
+# Steady states average s_z over the trailing STEADY_WINDOW_FRACTION of the
+# run, with error bars from blocks of STEADY_BLOCK_LENGTH unit-free time.
+STEADY_WINDOW_FRACTION = 0.25
+STEADY_BLOCK_LENGTH = 50.0
+
 
 def method_config(method: str, frame: UnitFrame, temperature: float,
                   dt: float = 0.15, t_max: float = DESK_SWEEP_T_MAX,
-                  eta: float | None = None, cutoff: float | None = None,
+                  cutoff: float | None = None,
                   noise_margin: float | None = None) -> IntegratorConfig:
     """IntegratorConfig for one of the standard method tags."""
     if method not in METHOD_TAGS:
         raise ParameterError(f"unknown method {method!r}; choose from {METHOD_TAGS}")
     if method == "llg-classical":
-        bath, kind = OhmicParams(eta if eta is not None else DEFAULT_ETA), "classical-ohmic"
+        bath, kind = OhmicParams(DEFAULT_ETA), "classical-ohmic"
     elif method == "llg-quantum":
-        bath, kind = OhmicParams(eta if eta is not None else DEFAULT_ETA), "quantum-ohmic"
+        bath, kind = OhmicParams(DEFAULT_ETA), "quantum-ohmic"
     elif method == "lorentzian-set1":
         bath, kind = SET1, "quantum-lorentzian"
     else:
@@ -100,18 +104,13 @@ class EnsembleResult:
     diverged: list
 
 
-# Ensemble members run in batches, each batch as the lanes of one array
-# kernel (dynamics.integrate_members).  A batch holds its noise, three
-# components, and its recorded s_z: 32*(n_steps+1) bytes per member.  16 MB
-# fits 248 members at the desk ensemble t_max (2,011 steps); at full scale
-# (301,593 steps) it fits one, and members run on float lanes one by one.
+# Ensemble members run in batches through dynamics.integrate_members, a
+# batch of at least MIN_LANES as the lanes of one array kernel.  A batch of
+# lanes holds its noise, three components, and its recorded s_z:
+# 32*(n_steps+1) bytes per member.  16 MB fits 248 members at the desk
+# ensemble t_max (2,011 steps); at full scale (301,593 steps) it fits one,
+# and members run on float lanes one by one.
 LANE_BUDGET_BYTES = 16_000_000
-# Batches narrower than this run member by member on float lanes instead.
-# Kernel time per member-step, set2 Lorentzian / quantum LLG, best of 5 on a
-# 2-core x86-64 VM with numpy 2.4.6: float lanes 6.7 / 5.7 us; 25 array
-# lanes 13.4 / 8.3 us (slower); 50 lanes 6.0 / 3.9 us (faster); 100 lanes
-# 3.3 / 1.9 us.  64 sits above the crossover with a margin for CPU drift.
-MIN_LANES = 64
 
 
 def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
@@ -123,29 +122,13 @@ def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _batch_sz_job(args):
-    """(sz, steps) of one batch: sz (n_steps+1, members), steps[k] the step
-    member k diverged at, 0 if it did not."""
-    cfg, seeds, initial_spin, as_lanes = args
-    if as_lanes:
-        return integrate_members(cfg, seeds, initial_spin)
-    sz = np.empty((cfg.n_steps + 1, len(seeds)))
-    steps = [0] * len(seeds)
-    for k, seed in enumerate(seeds):
-        try:
-            traj = integrate(SpinSystem.single(initial_spin), cfg, seed=seed)
-            sz[:, k] = traj.sz()
-        except IntegrationDivergedError as err:
-            steps[k] = err.step
-    return sz, steps
-
-
 def _pmap(job, items, workers: int):
+    """[job(*args) for args in items], over a process pool if workers > 1."""
     if workers <= 1:
-        return [job(it) for it in items]
+        return [job(*args) for args in items]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(job, items))
+        return list(ex.map(job, *zip(*items)))
 
 
 def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
@@ -155,11 +138,10 @@ def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
 
     Member i uses seed base_seed XOR i.  Members are split into contiguous
     batches, as few as LANE_BUDGET_BYTES allows but at least one per
-    worker; a batch of at least MIN_LANES members runs as the lanes of one
-    array kernel recording only s_z, a narrower one member by member.
-    Either way every member is bit-identical to its own integrate() run,
-    and the reduction is ordered by member index, so the result depends
-    neither on `workers` nor on the batch split.  Diverged members are
+    worker, each run by integrate_members, which records only s_z.  Every
+    member is bit-identical to its own integrate() run, and the reduction
+    is ordered by member index, so the result depends neither on `workers`
+    nor on the batch split.  Diverged members are
     excluded with a warning; more than 1% diverging raises
     IntegrationDivergedError naming the first diverged member and its step.
     """
@@ -167,9 +149,8 @@ def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
         raise ParameterError("n_traj must be >= 2")
     seeds = [derive_seed(base_seed, i) for i in range(n_traj)]
     bounds = _ensemble_batches(n_traj, cfg.n_steps, workers)
-    jobs = [(cfg, seeds[a:b], tuple(initial_spin), b - a >= MIN_LANES)
-            for a, b in bounds]
-    results = _pmap(_batch_sz_job, jobs, workers)
+    jobs = [(cfg, seeds[a:b], tuple(initial_spin)) for a, b in bounds]
+    results = _pmap(integrate_members, jobs, workers)
     times = np.arange(cfg.n_steps + 1) * cfg.dt
     mean = np.zeros(len(times))
     m2 = np.zeros(len(times))
@@ -198,29 +179,24 @@ def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
                           n_used=n_used, diverged=diverged)
 
 
-def steady_state_sz(cfg: IntegratorConfig, t_max: float | None = None,
-                    window_fraction: float = 0.25, seed: int = 0,
-                    initial_spin=DEFAULT_INITIAL_SPIN,
-                    block_length: float = 50.0) -> tuple[float, float]:
-    """Late-time average of s_z over the trailing window of one trajectory.
+def steady_state_sz(cfg: IntegratorConfig, seed: int = 0,
+                    initial_spin=DEFAULT_INITIAL_SPIN) -> tuple[float, float]:
+    """Late-time average of s_z over the trailing STEADY_WINDOW_FRACTION of
+    one trajectory.
 
-    The error bar comes from block averaging (blocks of `block_length`
+    The error bar comes from block averaging (blocks of STEADY_BLOCK_LENGTH
     unit-free time), which absorbs the autocorrelation of s_z.
     """
-    if t_max is not None:
-        cfg = dataclasses.replace(cfg, t_max=t_max)
-    if not 0.0 < window_fraction <= 1.0:
-        raise ParameterError("window_fraction must be in (0, 1]")
     traj = integrate(SpinSystem.single(initial_spin), cfg, seed=seed)
     sz = traj.sz()
-    start = int(math.ceil((1.0 - window_fraction) * cfg.t_max / cfg.dt))
+    start = int(math.ceil((1.0 - STEADY_WINDOW_FRACTION) * cfg.t_max / cfg.dt))
     window = sz[start:]
-    block_steps = max(1, int(round(block_length / cfg.dt)))
+    block_steps = max(1, int(round(STEADY_BLOCK_LENGTH / cfg.dt)))
     n_blocks = len(window) // block_steps
     if n_blocks < 10:
         raise ParameterError(
             f"averaging window holds only {n_blocks} blocks of "
-            f"{block_length}; need at least 10")
+            f"{STEADY_BLOCK_LENGTH}; need at least 10")
     trimmed = window[len(window) - n_blocks * block_steps:]
     blocks = trimmed.reshape(n_blocks, block_steps).mean(axis=1)
     value = float(trimmed.mean())
@@ -229,14 +205,16 @@ def steady_state_sz(cfg: IntegratorConfig, t_max: float | None = None,
 
 
 def averaged_steady_state(cfg: IntegratorConfig, n_replicas: int,
-                          base_seed: int = 0, **kwargs) -> tuple[float, float]:
+                          base_seed: int = 0,
+                          initial_spin=DEFAULT_INITIAL_SPIN) -> tuple[float, float]:
     """Mean of independent steady_state_sz replicas with derived seeds."""
     if n_replicas < 1:
         raise ParameterError("n_replicas must be >= 1")
     vals = []
     errs = []
     for r in range(n_replicas):
-        v, e = steady_state_sz(cfg, seed=derive_seed(base_seed, r << 8), **kwargs)
+        v, e = steady_state_sz(cfg, seed=derive_seed(base_seed, r << 8),
+                               initial_spin=initial_spin)
         vals.append(v)
         errs.append(e)
     if n_replicas == 1:
@@ -261,20 +239,10 @@ def _sweep_seed(base: int, mi: int, ti: int) -> int:
     return derive_seed(base, ((mi + 1) * 1024 + ti) << 32)
 
 
-def _sweep_point_job(args):
-    cfg, n_replicas, base_seed, window_fraction, block_length, initial_spin = args
-    return averaged_steady_state(cfg, n_replicas, base_seed=base_seed,
-                                 window_fraction=window_fraction,
-                                 block_length=block_length,
-                                 initial_spin=initial_spin)
-
-
 def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
                       dt: float = 0.15, t_max: float = DESK_SWEEP_T_MAX,
                       seed: int = 0, n_replicas: int = 1,
-                      eta: float | None = None, cutoff: float | None = None,
-                      window_fraction: float = 0.25,
-                      block_length: float = 50.0,
+                      cutoff: float | None = None,
                       initial_spin=DEFAULT_INITIAL_SPIN,
                       workers: int = 1) -> list[SweepResult]:
     """Steady-state s_z for every (method, temperature) pair.
@@ -296,10 +264,10 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
     for mi, method in enumerate(methods):
         for ti, temp in enumerate(temps):
             cfg = method_config(method, frame, float(temp), dt=dt, t_max=t_max,
-                                eta=eta, cutoff=cutoff)
+                                cutoff=cutoff)
             jobs.append((cfg, n_replicas, _sweep_seed(seed, mi, ti),
-                         window_fraction, block_length, tuple(initial_spin)))
-    results = _pmap(_sweep_point_job, jobs, workers)
+                         tuple(initial_spin)))
+    results = _pmap(averaged_steady_state, jobs, workers)
     out = []
     for mi, method in enumerate(methods):
         means = np.empty(len(temps))

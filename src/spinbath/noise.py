@@ -129,14 +129,3 @@ def trace_for_run(psd: PowerSpectrum, seed: int, dt: float, n_steps: int,
     return NoiseTrace(components=full.components[:, n_margin:], dt=dt,
                       provenance=full.provenance)
 
-
-def dump_trace(trace: NoiseTrace, path) -> None:
-    """Write (t, b_x, b_y, b_z) rows as CSV for debugging."""
-    b = trace.components
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# dt={trace.dt!r}\n")
-        fh.write(f"# provenance={trace.provenance[1]}\n")
-        fh.write("t,b_x,b_y,b_z\n")
-        for i in range(b.shape[1]):
-            t = i * trace.dt
-            fh.write(f"{t:.17g},{b[0, i]:.17g},{b[1, i]:.17g},{b[2, i]:.17g}\n")

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinbath.cli import main, parse_config, run
-from spinbath.model import ConfigurationError
+from spinbath.cli import main, parse_config, run, write_csv
+from spinbath.dynamics import integrate, noise_traces
+from spinbath.model import ConfigurationError, SpinSystem
 
 BASE = """
 [frame]
@@ -30,6 +31,24 @@ seed = 42
 def body_of(path: Path) -> str:
     return "".join(line for line in path.read_text().splitlines(keepends=True)
                    if not line.startswith("#"))
+
+
+def split_csv(path: Path):
+    """(metadata lines, header, rows of cell strings) of a CSV output."""
+    lines = path.read_text().splitlines()
+    meta = [l for l in lines if l.startswith("#")]
+    body = lines[len(meta):]
+    return meta, body[0], [l.split(",") for l in body[1:]]
+
+
+class TestWriteCsv:
+    def test_one_format_for_every_cell(self, tmp_path):
+        path = tmp_path / "sub" / "w.csv"
+        rows = ((x, n) for x, n in [(0.1, 3), (1e-300, 0), (-2.0, 12)])
+        write_csv(path, ["a=1", "b='x'"], "x,n", rows)
+        assert path.read_text() == ("# a=1\n# b='x'\nx,n\n"
+                                    "0.10000000000000001,3\n"
+                                    "1e-300,0\n-2,12\n")
 
 
 class TestParseConfig:
@@ -121,7 +140,27 @@ class TestRunModes:
         cfg.out_path = str(tmp_path / "t.csv")
         cfg.dump_noise = True
         run(cfg, out_dir=tmp_path)
-        assert (tmp_path / "t.noise0.csv").exists()
+        icfg = cfg.integrator_config()
+        trace, = noise_traces(icfg, cfg.seed, 1)
+        traj = integrate(SpinSystem.single(cfg.initial_spin), icfg,
+                         seed=cfg.seed)
+        dt, n = icfg.dt, icfg.n_steps + 1
+
+        _, header, rows = split_csv(tmp_path / "t.csv")
+        assert header == "t,site,s_x,s_y,s_z,norm"
+        assert len(rows) == n
+        for i, row in enumerate(rows):
+            assert row[:2] == [f"{i * dt:.17g}", "0"]
+            assert row[2:] == [f"{v:.17g}" for v in
+                               (*traj.spins[0, i], traj.norms[0, i])]
+
+        meta, header, rows = split_csv(tmp_path / "t.noise0.csv")
+        assert meta == [f"# dt={dt!r}", f"# provenance={trace.provenance[1]}"]
+        assert header == "t,b_x,b_y,b_z"
+        assert len(rows) == n
+        for i, row in enumerate(rows):
+            assert row == [f"{v:.17g}" for v in
+                           (i * dt, *trace.components[:, i])]
 
     def test_ensemble_mode(self, tmp_path):
         text = BASE.replace("mode = trajectory", "mode = ensemble") + "\nn_traj = 4\n"

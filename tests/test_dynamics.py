@@ -262,6 +262,10 @@ class TestEffectiveField:
                            provenance=(None, "test"))
         with pytest.raises(ConfigurationError):
             integrate(sys, cfg, traces=[short])
+        coarse = NoiseTrace(components=np.zeros((3, 4)), dt=7.0,
+                            provenance=(None, "test"))
+        with pytest.raises(ConfigurationError, match=r"dt=7\.0.*dt=1\.0"):
+            integrate(sys, cfg, traces=[coarse])
         exact = NoiseTrace(components=np.zeros((3, 4)), dt=1.0,
                            provenance=(None, "test"))
         assert integrate(sys, cfg, traces=[exact]).spins.shape == (1, 4, 3)
@@ -412,15 +416,18 @@ def bad_noise_for(seed_to_break, step):
 class TestLanes:
     @pytest.mark.parametrize("method,temp", [(m, 1.0) for m in METHOD_TAGS]
                              + [("llg-classical", 0.0)])
-    def test_members_bit_identical_to_integrate(self, method, temp):
+    def test_members_bit_identical_to_integrate(self, method, temp,
+                                                monkeypatch):
         cfg = method_config(method, FRAME, temp, t_max=30.0)
         seeds = [3, 9, 1000, 77]
-        sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
-        assert sz.shape == (cfg.n_steps + 1, len(seeds))
-        assert steps == [0, 0, 0, 0]
-        for k, seed in enumerate(seeds):
-            one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seed)
-            assert np.array_equal(sz[:, k], one.sz())
+        for min_lanes in (1, len(seeds) + 1):  # array lanes, then floats
+            monkeypatch.setattr(dynamics, "MIN_LANES", min_lanes)
+            sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
+            assert sz.shape == (cfg.n_steps + 1, len(seeds))
+            assert steps == [0, 0, 0, 0]
+            for k, seed in enumerate(seeds):
+                one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seed)
+                assert np.array_equal(sz[:, k], one.sz())
 
     @given(st.lists(st.floats(-2, 2), min_size=15, max_size=15),
            st.floats(0.01, 0.6))
@@ -462,12 +469,17 @@ class TestLanes:
         monkeypatch.setattr(dynamics, "noise_traces", bad_noise_for(7, 40))
         with pytest.raises(IntegrationDivergedError) as err:
             integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=7)
-        sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
-        assert steps == [0, 0, err.value.step, 0]
-        assert not np.isfinite(sz[err.value.step, 2])
-        for k in (0, 1, 3):
-            one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seeds[k])
-            assert np.array_equal(sz[:, k], one.sz())
+        step = err.value.step
+        for min_lanes in (1, len(seeds) + 1):  # array lanes, then floats
+            monkeypatch.setattr(dynamics, "MIN_LANES", min_lanes)
+            sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
+            assert steps == [0, 0, step, 0]
+            assert np.isfinite(sz[:step, 2]).all()
+            assert not np.isfinite(sz[step:, 2]).any()
+            for k in (0, 1, 3):
+                one = integrate(SpinSystem.single((-1, 0, 0)), cfg,
+                                seed=seeds[k])
+                assert np.array_equal(sz[:, k], one.sz())
 
     def test_sites_as_lanes_raise_on_divergence(self):
         bad = LorentzianParams(omega0=50.0, gamma_width=1.0, alpha=1.0)

@@ -91,12 +91,12 @@ class TestEnsembleAverage:
 
     def test_batch_split_does_not_change_the_result(self, monkeypatch):
         cfg = method_config("lorentzian-set2", FRAME, 1.0, t_max=15.0)
-        n = 2 * experiments.MIN_LANES
+        n = 2 * dynamics.MIN_LANES
         one_batch = ensemble_average(cfg, n, base_seed=4)
         two_batches = ensemble_average(cfg, n, base_seed=4, workers=2)
-        monkeypatch.setattr(experiments, "MIN_LANES", n + 1)
+        monkeypatch.setattr(dynamics, "MIN_LANES", n + 1)
         floats = ensemble_average(cfg, n, base_seed=4)
-        monkeypatch.setattr(experiments, "MIN_LANES", 8)
+        monkeypatch.setattr(dynamics, "MIN_LANES", 8)
         monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
                             50 * 32 * (cfg.n_steps + 1))
         three_batches = ensemble_average(cfg, n, base_seed=4)
