@@ -8,12 +8,12 @@ the full-scale curves.
 """
 
 import argparse
-import math
 from pathlib import Path
 
 from spinbath import build_unit_frame
 from spinbath.cli import write_csv
-from spinbath.experiments import (METHOD_TAGS, ensemble_average,
+from spinbath.experiments import (DESK_ENSEMBLE_T_MAX, DESK_N_TRAJ,
+                                  METHOD_TAGS, ensemble_average,
                                   equilibration_time, method_config)
 
 PAIRS = ((1, 1.0), (200, 200.0))
@@ -23,8 +23,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out"))
     ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--n-traj", type=int, default=100)
-    ap.add_argument("--t-max", type=float, default=2 * math.pi * 48)
+    ap.add_argument("--n-traj", type=int, default=DESK_N_TRAJ)
+    ap.add_argument("--t-max", type=float, default=DESK_ENSEMBLE_T_MAX)
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)

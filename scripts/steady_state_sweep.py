@@ -8,12 +8,12 @@ oracle.  Desk scale by default; --full switches to the long runs
 """
 
 import argparse
-import math
 from pathlib import Path
 
 from spinbath import build_unit_frame
 from spinbath.cli import sweep_table, write_csv
-from spinbath.experiments import METHOD_TAGS, temperature_sweep
+from spinbath.experiments import (DESK_SWEEP_T_MAX, FULL_SWEEP_T_MAX,
+                                  METHOD_TAGS, temperature_sweep)
 
 TEMPS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
 
@@ -30,7 +30,7 @@ def main():
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    t_max = 2 * math.pi * (7200 if args.full else 500)
+    t_max = FULL_SWEEP_T_MAX if args.full else DESK_SWEEP_T_MAX
     for n in args.spin_halves:
         frame = build_unit_frame(10.0, -1.76e11, n)
         results = temperature_sweep(METHOD_TAGS, TEMPS, frame, t_max=t_max,

@@ -13,7 +13,7 @@ from .coupling import (KernelMoments, PowerSpectrum, fdt_check,
 from .noise import (NoiseTrace, WhiteSeed, colour, coloured_trace,
                     derive_seed, white_gaussian)
 from .dynamics import IntegratorConfig, Trajectory, integrate
-from .experiments import (SweepResult, ensemble_average,
-                          equilibration_time,
+from .experiments import (SweepResult, averaged_steady_state,
+                          ensemble_average, equilibration_time,
                           equivalent_classical_temperature, method_config,
-                          statphys_oracle, steady_state_sz, temperature_sweep)
+                          statphys_oracle, temperature_sweep)

@@ -24,9 +24,9 @@ from .coupling import (SPECTRUM_KINDS, fdt_check, kernel_moments,
                        lorentzian_kernel_time, ohmic_kernel_im_freq,
                        ohmic_coupling)
 from .dynamics import IntegratorConfig, integrate, noise_traces
-from .experiments import (DEFAULT_ETA, DESK_SWEEP_T_MAX, METHOD_TAGS,
-                          ensemble_average, statphys_oracle,
-                          temperature_sweep)
+from .experiments import (DEFAULT_ETA, DESK_ENSEMBLE_T_MAX, DESK_N_TRAJ,
+                          DESK_SWEEP_T_MAX, METHOD_TAGS, ensemble_average,
+                          statphys_oracle, temperature_sweep)
 from .model import (GAMMA_ELECTRON, SET1, SET2, ConfigurationError,
                     IntegrationDivergedError, LorentzianParams, OhmicParams,
                     ParameterError, SpinSystem, UnitFrame, build_unit_frame)
@@ -64,7 +64,7 @@ class ExperimentConfig:
     cutoff: float | None = None
     dt: float = 0.15
     t_max: float | None = None
-    n_traj: int = 100
+    n_traj: int = DESK_N_TRAJ
     n_replicas: int = 1
     seed: int = 0
     initial_spin: tuple = (-1.0, 0.0, 0.0)
@@ -92,7 +92,7 @@ class ExperimentConfig:
         return LorentzianParams(self.omega0, self.gamma_width, self.alpha)
 
     def integrator_config(self) -> IntegratorConfig:
-        t_max = self.t_max if self.t_max is not None else 2.0 * math.pi * 48.0
+        t_max = self.t_max if self.t_max is not None else DESK_ENSEMBLE_T_MAX
         return IntegratorConfig(frame=self.frame(), bath=self.bath(),
                                 noise_kind=self.noise_kind,
                                 temperature=self.temperature, dt=self.dt,
@@ -335,15 +335,14 @@ def _validate_checks(cfg: ExperimentConfig):
 
     # norm conservation, all four methods, 1e4 steps at dt = 0.15
     from .experiments import method_config
+    fr = build_unit_frame(10.0, GAMMA_ELECTRON, 1)
     for method in METHOD_TAGS:
-        fr = build_unit_frame(10.0, GAMMA_ELECTRON, 1)
         icfg = method_config(method, fr, 1.0, t_max=1500.0)
         traj = integrate(SpinSystem.single((-1, 0, 0)), icfg, seed=7)
         drift = traj.max_norm_drift()
         yield f"norm-conservation-{method}", drift < 1e-5, f"max drift={drift:.2e}"
 
     # determinism
-    fr = build_unit_frame(10.0, GAMMA_ELECTRON, 1)
     icfg = method_config("lorentzian-set2", fr, 1.0, t_max=30.0)
     a = integrate(SpinSystem.single((-1, 0, 0)), icfg, seed=3)
     b = integrate(SpinSystem.single((-1, 0, 0)), icfg, seed=3)
@@ -354,11 +353,10 @@ def _validate_checks(cfg: ExperimentConfig):
 def _run_validate(cfg: ExperimentConfig) -> int:
     failures = 0
     for name, ok, detail in _validate_checks(cfg):
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name:32s} {detail}")
-        failures += 0 if ok else 1
-    print(f"{'OK' if failures == 0 else 'FAILED'}: "
-          f"{failures} failing check(s)" if failures else "OK: all checks passed")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:32s} {detail}")
+        failures += not ok
+    print(f"FAILED: {failures} failing check(s)" if failures
+          else "OK: all checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -376,10 +374,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> int:
             path = _run_sweep(cfg, out)
         else:
             raise ConfigurationError(f"unknown mode {cfg.mode!r}")
-    except IntegrationDivergedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (IntegrationDivergedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(f"wrote {path}")
@@ -414,8 +409,6 @@ def main(argv=None) -> int:
             cfg.workers = args.workers
         if args.dump_noise:
             cfg.dump_noise = True
-        if cfg.mode == "validate":
-            return _run_validate(cfg)
         return run(cfg, out_dir=args.out)
     except (ParameterError, ConfigurationError) as err:
         print(f"config error: {err}", file=sys.stderr)

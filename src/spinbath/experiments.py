@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# integrate is unused here, but bench/spans.py traces runs under this name
 from .dynamics import IntegratorConfig, integrate, integrate_members
 from .model import (HBAR, KB, SET1, SET2, IntegrationDivergedError,
-                    OhmicParams, ParameterError, SpinSystem, UnitFrame)
+                    OhmicParams, ParameterError, UnitFrame)
 from .noise import derive_seed
 
 METHOD_TAGS = ("llg-classical", "llg-quantum", "lorentzian-set1",
@@ -30,12 +31,11 @@ METHOD_TAGS = ("llg-classical", "llg-quantum", "lorentzian-set1",
 DEFAULT_ETA = SET1.eta_equivalent  # 50/2401, shared by both parameter sets
 
 # Desk-scale defaults: long enough for converged steady states in CI runs.
-# Full-scale figure reproduction uses t_max = 2*pi*7200 and 500 trajectories.
+# Full-scale figure reproduction uses FULL_SWEEP_T_MAX and 500 trajectories.
 DESK_SWEEP_T_MAX = 2.0 * math.pi * 500.0
 DESK_ENSEMBLE_T_MAX = 2.0 * math.pi * 48.0
 FULL_SWEEP_T_MAX = 2.0 * math.pi * 7200.0
 DESK_N_TRAJ = 100
-FULL_N_TRAJ = 500
 
 DEFAULT_INITIAL_SPIN = (-1.0, 0.0, 0.0)
 
@@ -104,12 +104,12 @@ class EnsembleResult:
     diverged: list
 
 
-# Ensemble members run in batches through dynamics.integrate_members, a
-# batch of at least MIN_LANES as the lanes of one array kernel.  A batch of
-# lanes holds its noise, three components, and its recorded s_z:
-# 32*(n_steps+1) bytes per member.  16 MB fits 248 members at the desk
-# ensemble t_max (2,011 steps); at full scale (301,593 steps) it fits one,
-# and members run on float lanes one by one.
+# Members run in batches through dynamics.integrate_members, a batch of at
+# least MIN_LANES as the lanes of one array kernel.  A batch of lanes holds
+# its noise, three components, and its recorded s_z: 32*(n_steps+1) bytes
+# per member.  16 MB fits 248 members at the desk ensemble t_max (2,011
+# steps) and 23 at the desk sweep t_max (20,944 steps); at full scale
+# (301,593 steps) it fits one, and members run on float lanes one by one.
 LANE_BUDGET_BYTES = 16_000_000
 
 
@@ -131,41 +131,44 @@ def _pmap(job, items, workers: int):
         return list(ex.map(job, *zip(*items)))
 
 
+def _run_members(cfg: IntegratorConfig, seeds, initial_spin, workers: int = 1):
+    """(s_z column, divergence step or 0) of each seeded single-spin run, in
+    member order; no column depends on `workers` or on the batch split."""
+    bounds = _ensemble_batches(len(seeds), cfg.n_steps, workers)
+    jobs = [(cfg, seeds[a:b], tuple(initial_spin)) for a, b in bounds]
+    for sz, steps in _pmap(integrate_members, jobs, workers):
+        yield from zip(sz.T, steps)
+
+
 def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
                      initial_spin=DEFAULT_INITIAL_SPIN,
                      workers: int = 1) -> EnsembleResult:
     """Pointwise mean and standard error of s_z over seeded trajectories.
 
-    Member i uses seed base_seed XOR i.  Members are split into contiguous
-    batches, as few as LANE_BUDGET_BYTES allows but at least one per
-    worker, each run by integrate_members, which records only s_z.  Every
-    member is bit-identical to its own integrate() run, and the reduction
-    is ordered by member index, so the result depends neither on `workers`
-    nor on the batch split.  Diverged members are
-    excluded with a warning; more than 1% diverging raises
-    IntegrationDivergedError naming the first diverged member and its step.
+    Member i uses seed base_seed XOR i.  The reduction is ordered by member
+    index, so the result depends neither on `workers` nor on the batch
+    split.  Diverged members are excluded with a warning; more than 1%
+    diverging raises IntegrationDivergedError naming the first diverged
+    member and its step.
     """
     if n_traj < 2:
         raise ParameterError("n_traj must be >= 2")
     seeds = [derive_seed(base_seed, i) for i in range(n_traj)]
-    bounds = _ensemble_batches(n_traj, cfg.n_steps, workers)
-    jobs = [(cfg, seeds[a:b], tuple(initial_spin)) for a, b in bounds]
-    results = _pmap(integrate_members, jobs, workers)
     times = np.arange(cfg.n_steps + 1) * cfg.dt
     mean = np.zeros(len(times))
     m2 = np.zeros(len(times))
     n_used = 0
     diverged = []
-    for (start, _), (sz, steps) in zip(bounds, results):
-        for k, step in enumerate(steps):
-            if step:
-                diverged.append((start + k, step))
-                continue
-            # Welford update: exactly zero spread for identical members
-            n_used += 1
-            delta = sz[:, k] - mean
-            mean += delta / n_used
-            m2 += delta * (sz[:, k] - mean)
+    members = _run_members(cfg, seeds, initial_spin, workers)
+    for i, (sz, step) in enumerate(members):
+        if step:
+            diverged.append((i, step))
+            continue
+        # Welford update: exactly zero spread for identical members
+        n_used += 1
+        delta = sz - mean
+        mean += delta / n_used
+        m2 += delta * (sz - mean)
     if diverged:
         warnings.warn(f"{len(diverged)} of {n_traj} trajectories diverged")
         if len(diverged) > 0.01 * n_traj:
@@ -179,44 +182,44 @@ def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
                           n_used=n_used, diverged=diverged)
 
 
-def steady_state_sz(cfg: IntegratorConfig, seed: int = 0,
-                    initial_spin=DEFAULT_INITIAL_SPIN) -> tuple[float, float]:
-    """Late-time average of s_z over the trailing STEADY_WINDOW_FRACTION of
-    one trajectory.
-
-    The error bar comes from block averaging (blocks of STEADY_BLOCK_LENGTH
-    unit-free time), which absorbs the autocorrelation of s_z.
-    """
-    traj = integrate(SpinSystem.single(initial_spin), cfg, seed=seed)
-    sz = traj.sz()
+def _steady_blocks(cfg: IntegratorConfig) -> tuple[int, int]:
+    """(n_blocks, block_steps) of the averaging window: the run's trailing
+    STEADY_WINDOW_FRACTION, cut to whole blocks of STEADY_BLOCK_LENGTH."""
     start = int(math.ceil((1.0 - STEADY_WINDOW_FRACTION) * cfg.t_max / cfg.dt))
-    window = sz[start:]
     block_steps = max(1, int(round(STEADY_BLOCK_LENGTH / cfg.dt)))
-    n_blocks = len(window) // block_steps
+    n_blocks = (cfg.n_steps + 1 - start) // block_steps
     if n_blocks < 10:
         raise ParameterError(
             f"averaging window holds only {n_blocks} blocks of "
             f"{STEADY_BLOCK_LENGTH}; need at least 10")
-    trimmed = window[len(window) - n_blocks * block_steps:]
-    blocks = trimmed.reshape(n_blocks, block_steps).mean(axis=1)
-    value = float(trimmed.mean())
-    err = float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
-    return value, err
+    return n_blocks, block_steps
 
 
 def averaged_steady_state(cfg: IntegratorConfig, n_replicas: int,
                           base_seed: int = 0,
                           initial_spin=DEFAULT_INITIAL_SPIN) -> tuple[float, float]:
-    """Mean of independent steady_state_sz replicas with derived seeds."""
+    """(value, error) of s_z averaged over the _steady_blocks window of
+    replicas seeded derive_seed(base_seed, r << 8), replica 0 on base_seed.
+
+    Block averaging absorbs the autocorrelation of s_z in each replica's
+    error; the error of several is the larger of their standard error and
+    the propagated block errors.  A diverged replica raises
+    IntegrationDivergedError naming it and its step.
+    """
     if n_replicas < 1:
         raise ParameterError("n_replicas must be >= 1")
-    vals = []
-    errs = []
-    for r in range(n_replicas):
-        v, e = steady_state_sz(cfg, seed=derive_seed(base_seed, r << 8),
-                               initial_spin=initial_spin)
-        vals.append(v)
-        errs.append(e)
+    n_blocks, block_steps = _steady_blocks(cfg)
+    seeds = [derive_seed(base_seed, r << 8) for r in range(n_replicas)]
+    vals, errs = [], []
+    for r, (sz, step) in enumerate(_run_members(cfg, seeds, initial_spin)):
+        if step:
+            raise IntegrationDivergedError(
+                step, f"integration diverged at step {step} in steady-state "
+                f"replica {r}")
+        trimmed = sz[len(sz) - n_blocks * block_steps:]
+        blocks = trimmed.reshape(n_blocks, block_steps).mean(axis=1)
+        vals.append(float(trimmed.mean()))
+        errs.append(float(np.std(blocks, ddof=1) / math.sqrt(n_blocks)))
     if n_replicas == 1:
         return vals[0], errs[0]
     sem = float(np.std(vals, ddof=1) / math.sqrt(n_replicas))
@@ -250,7 +253,7 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
     Temperatures must be sorted ascending; if the grid starts at 0 the
     rescaled curve m(T) = sz(T)/sz(0) is attached to each result.  Points
     are independent work items with index-derived seeds, so the output does
-    not depend on `workers`.
+    not depend on `workers`.  Too short a run fails before any point runs.
     """
     temps = np.asarray(temperatures, dtype=float)
     if temps.ndim != 1 or len(temps) == 0:
@@ -265,15 +268,14 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
         for ti, temp in enumerate(temps):
             cfg = method_config(method, frame, float(temp), dt=dt, t_max=t_max,
                                 cutoff=cutoff)
+            _steady_blocks(cfg)
             jobs.append((cfg, n_replicas, _sweep_seed(seed, mi, ti),
                          tuple(initial_spin)))
     results = _pmap(averaged_steady_state, jobs, workers)
     out = []
+    n = len(temps)
     for mi, method in enumerate(methods):
-        means = np.empty(len(temps))
-        errs = np.empty(len(temps))
-        for ti in range(len(temps)):
-            means[ti], errs[ti] = results[mi * len(temps) + ti]
+        means, errs = map(np.array, zip(*results[mi * n:(mi + 1) * n]))
         rescaled = means / means[0] if temps[0] == 0.0 else None
         out.append(SweepResult(method=method, temperatures=temps.copy(),
                                sz_mean=means, sz_stderr=errs,

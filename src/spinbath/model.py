@@ -36,6 +36,10 @@ class IntegrationDivergedError(RuntimeError):
         self.step = step
         super().__init__(message or f"integration diverged at step {step}")
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, which holds only the message
+        return type(self), (self.step, str(self))
+
 
 @dataclass(frozen=True)
 class UnitFrame:

@@ -22,17 +22,17 @@ from spinbath.coupling import (fdt_check, kernel_moments, lorentzian_coupling,
                                ohmic_coupling, ohmic_kernel_im_freq,
                                power_spectrum)
 from spinbath.dynamics import integrate
-from spinbath.experiments import (DEFAULT_ETA, METHOD_TAGS, ensemble_average,
+from spinbath.experiments import (DEFAULT_ETA, DESK_SWEEP_T_MAX, METHOD_TAGS,
+                                  averaged_steady_state, ensemble_average,
                                   equilibration_time, method_config,
-                                  statphys_oracle, steady_state_sz)
+                                  statphys_oracle)
 from spinbath.model import (OhmicParams, SET1, SET2, SpinSystem,
                             build_unit_frame)
-from spinbath.noise import WhiteSeed, coloured_trace, derive_seed
+from spinbath.noise import WhiteSeed, coloured_trace
 
 FRAME1 = build_unit_frame(10.0, -1.76e11, 1)
 FRAME200 = build_unit_frame(10.0, -1.76e11, 200)
 DT = 0.15
-SWEEP_T_MAX = 2.0 * math.pi * 500.0
 
 
 def _report(num, ok, detail):
@@ -41,10 +41,8 @@ def _report(num, ok, detail):
 
 
 def _mean_steady(method, frame, temperature, n_rep, base_seed):
-    cfg = method_config(method, frame, temperature, t_max=SWEEP_T_MAX)
-    vals = [steady_state_sz(cfg, seed=derive_seed(base_seed, k << 8))[0]
-            for k in range(n_rep)]
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_rep))
+    cfg = method_config(method, frame, temperature, t_max=DESK_SWEEP_T_MAX)
+    return averaged_steady_state(cfg, n_rep, base_seed)
 
 
 def test_criterion_01_spin_length_conservation():

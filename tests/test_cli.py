@@ -247,6 +247,31 @@ n_traj = 4
         assert "error: integration diverged at step 5 in ensemble member 0" in err
         assert not (tmp_path / "ensemble.csv").exists()
 
+    def test_diverging_sweep_message_does_not_depend_on_workers(
+            self, tmp_path, capsys):
+        ini = tmp_path / "unstable.ini"
+        ini.write_text("""
+[frame]
+b_ext_tesla = 10.0
+
+[noise]
+temperatures = 1.0, 5.0
+
+[run]
+mode = sweep
+dt = 0.5
+methods = lorentzian-set1
+""")
+        errs = []
+        for workers in ("1", "2"):
+            assert main(["--config", str(ini), "--out", str(tmp_path),
+                         "--workers", workers]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0] == ("error: integration diverged at step 26 in "
+                           "steady-state replica 0\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_validate_mode_passes_on_defaults(self, capsys):
         assert main(["--mode", "validate"]) == 0
         out = capsys.readouterr().out

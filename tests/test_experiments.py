@@ -6,11 +6,12 @@ import pytest
 from spinbath import dynamics, experiments
 from spinbath.dynamics import integrate
 from spinbath.experiments import (DEFAULT_ETA, METHOD_TAGS,
+                                  STEADY_BLOCK_LENGTH, STEADY_WINDOW_FRACTION,
                                   averaged_steady_state, ensemble_average,
                                   equilibration_time,
                                   equivalent_classical_temperature,
                                   method_config, statphys_oracle,
-                                  steady_state_sz, temperature_sweep)
+                                  temperature_sweep)
 from spinbath.model import (IntegrationDivergedError, ParameterError, SET1,
                             SpinSystem, build_unit_frame)
 
@@ -145,14 +146,63 @@ class TestSteadyState:
         value, err = averaged_steady_state(cfg, 8, base_seed=5)
         assert value == pytest.approx(statphys_oracle(1, 1.0, FRAME), abs=3 * err)
 
-    def test_window_must_hold_ten_blocks(self):
+    def test_window_must_hold_ten_blocks(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("ran before the averaging window was checked")
+        monkeypatch.setattr(experiments, "integrate_members", never)
         cfg = method_config("llg-classical", FRAME, 1.0, t_max=300.0)
-        with pytest.raises(ParameterError):
-            steady_state_sz(cfg)  # 75-unit window < 10 blocks of 50
+        with pytest.raises(ParameterError, match="only 1 blocks"):
+            averaged_steady_state(cfg, 1)  # 75-unit window < 10 blocks of 50
+        monkeypatch.setattr(experiments, "_pmap", never)
+        with pytest.raises(ParameterError, match="only 1 blocks"):
+            temperature_sweep(["llg-classical"], [1.0, 5.0], FRAME,
+                              t_max=300.0, workers=2)
 
     def test_deterministic_given_seed(self):
         cfg = method_config("llg-classical", FRAME, 10.0, t_max=2 * math.pi * 350)
-        assert steady_state_sz(cfg, seed=9) == steady_state_sz(cfg, seed=9)
+        assert (averaged_steady_state(cfg, 1, base_seed=9)
+                == averaged_steady_state(cfg, 1, base_seed=9))
+
+    def test_one_replica_averages_the_trailing_window_of_its_run(self):
+        cfg = method_config("lorentzian-set2", FRAME, 1.0,
+                            t_max=2 * math.pi * 350)
+        sz = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=9).sz()
+        start = math.ceil((1.0 - STEADY_WINDOW_FRACTION) * cfg.t_max / cfg.dt)
+        block = round(STEADY_BLOCK_LENGTH / cfg.dt)
+        n_blocks = (len(sz) - start) // block
+        window = sz[len(sz) - n_blocks * block:]
+        blocks = window.reshape(n_blocks, block).mean(axis=1)
+        value, err = averaged_steady_state(cfg, 1, base_seed=9)
+        assert value == window.mean()
+        assert err == np.std(blocks, ddof=1) / math.sqrt(n_blocks)
+
+    @pytest.mark.parametrize("n_replicas", [1, 3])
+    def test_lane_path_does_not_change_the_result(self, monkeypatch,
+                                                  n_replicas):
+        cfg = method_config("lorentzian-set1", FRAME, 1.0,
+                            t_max=2 * math.pi * 350)
+        floats = averaged_steady_state(cfg, n_replicas, base_seed=2)
+        monkeypatch.setattr(dynamics, "MIN_LANES", 1)
+        assert averaged_steady_state(cfg, n_replicas, base_seed=2) == floats
+
+    @pytest.mark.parametrize("min_lanes", [1, 64])
+    def test_divergence_names_replica_and_step(self, monkeypatch, min_lanes):
+        cfg = method_config("llg-classical", FRAME, 10.0,
+                            t_max=2 * math.pi * 350)
+        real = dynamics.noise_traces
+
+        def patched(cfg, seed, n_sites):
+            traces = real(cfg, seed, n_sites)
+            if seed == 7 ^ (2 << 8):  # replica 2 at base_seed 7
+                traces[0].components[:, 40:] = np.inf
+            return traces
+        monkeypatch.setattr(dynamics, "noise_traces", patched)
+        monkeypatch.setattr(dynamics, "MIN_LANES", min_lanes)
+        with pytest.raises(IntegrationDivergedError) as err:
+            averaged_steady_state(cfg, 4, base_seed=7)
+        assert err.value.step == 40
+        assert str(err.value) == ("integration diverged at step 40 in "
+                                  "steady-state replica 2")
 
 
 class TestEquilibrationTime:
@@ -223,6 +273,18 @@ class TestTemperatureSweep:
         c = temperature_sweep(["llg-classical"], temps, FRAME,
                               t_max=2 * math.pi * 500, seed=6, n_replicas=6)[0]
         assert q.rescaled[1] > c.rescaled[1] + 0.2
+
+    def test_workers_do_not_change_the_result(self):
+        kwargs = dict(t_max=2 * math.pi * 350, seed=5, n_replicas=2)
+        methods = ["llg-quantum", "lorentzian-set1"]
+        one = temperature_sweep(methods, [0.0, 25.0], FRAME, workers=1,
+                                **kwargs)
+        two = temperature_sweep(methods, [0.0, 25.0], FRAME, workers=2,
+                                **kwargs)
+        for a, b in zip(one, two):
+            assert np.array_equal(a.sz_mean, b.sz_mean)
+            assert np.array_equal(a.sz_stderr, b.sz_stderr)
+            assert np.array_equal(a.rescaled, b.rescaled)
 
     def test_unsorted_or_negative_grids_rejected(self):
         with pytest.raises(ParameterError):

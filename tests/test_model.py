@@ -1,13 +1,15 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbath.model import (GAMMA_ELECTRON, LorentzianParams, OhmicParams,
-                            ParameterError, SET1, SET2, SpinSystem,
-                            build_unit_frame, symmetrize_exchange)
+from spinbath.model import (GAMMA_ELECTRON, IntegrationDivergedError,
+                            LorentzianParams, OhmicParams, ParameterError,
+                            SET1, SET2, SpinSystem, build_unit_frame,
+                            symmetrize_exchange)
 
 
 class TestUnitFrame:
@@ -147,3 +149,16 @@ class TestSpinSystem:
         other = sys.copy()
         other.spins[0, 0] = 5.0
         assert sys.spins[0, 0] == 0.0
+
+
+class TestIntegrationDivergedError:
+    @pytest.mark.parametrize("message", [
+        "", "integration diverged at step 26 in steady-state replica 3"])
+    def test_pickle_round_trip(self, message):
+        # process pools pickle exceptions raised in their workers
+        err = IntegrationDivergedError(26, message)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is IntegrationDivergedError
+        assert back.step == 26
+        assert str(back) == str(err)
+        assert str(back) == (message or "integration diverged at step 26")
