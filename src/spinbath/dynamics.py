@@ -21,13 +21,14 @@ Plain vector-space RK4 drifts |s| by ~1e-3 over 1e4 steps at dt = 0.15,
 which is far outside the required conservation.
 
 Each bath has exactly one step definition, a kernel that runs on float lanes
-(a single spin) or on array lanes (the sites of one system, or independent
+(one site; coupled sites step in lockstep) or on array lanes (independent
 ensemble members run side by side); see "Lanes" below.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -116,15 +117,15 @@ def build_spectrum(cfg: IntegratorConfig) -> PowerSpectrum | None:
 
 # --------------------------------------------------------------------------
 # Lanes.  Each bath has one RK4 kernel, written once in plain arithmetic.  It
-# runs on "lanes": Python floats for a single spin, or (B,) arrays whose
-# entries are B independent ensemble members or the B sites of one system.
-# Elementwise numpy arithmetic rounds exactly like float arithmetic, and
-# numpy's sin and cos agree with the math module's on x86-64 Linux (numpy
-# 2.4), so a lane reproduces the float run of the same spin bit for bit; the
-# lane tests check this on the machine they run on.  The pieces
-# that cannot be plain arithmetic are injected: the rotation coefficients,
-# the norm square root and the finiteness test (Lanes), one sink per
-# recorded channel, and for coupled sites the exchange field.
+# runs on "lanes": Python floats for one site, or (B,) arrays whose entries
+# are B independent ensemble members.  Elementwise numpy arithmetic rounds
+# exactly like float arithmetic, and numpy's sin and cos agree with the math
+# module's on x86-64 Linux (numpy 2.4), so a lane reproduces the float run of
+# the same spin bit for bit; the lane tests check this on the machine they
+# run on.  The pieces that cannot be plain arithmetic are injected: the
+# rotation coefficients, the norm square root and the finiteness test
+# (Lanes), and one sink per recorded channel.  The exchange field of coupled
+# sites is sent into the kernel, a generator (see llg_kernel).
 
 class _StepBlowup(ArithmeticError):
     pass
@@ -157,11 +158,6 @@ def _raise_if_nonfinite(step, x):
         raise IntegrationDivergedError(step)
 
 
-def _raise_if_any_nonfinite(step, x):
-    if not np.isfinite(x).all():
-        raise IntegrationDivergedError(step)
-
-
 class Lanes(NamedTuple):
     """Lane-type operations a kernel needs beyond arithmetic.
 
@@ -175,7 +171,16 @@ class Lanes(NamedTuple):
 
 
 FLOAT_LANES = Lanes(_rot_coeffs, math.sqrt, _raise_if_nonfinite)
-SITE_LANES = Lanes(_rot_coeffs_lanes, np.sqrt, _raise_if_any_nonfinite)
+
+
+def _member_lanes(steps):
+    """Array lanes of independent members: a blown-up lane turns NaN, and
+    steps[k] records the step at which lane k first went non-finite."""
+    def record_divergence(step, x):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            steps[bad & (steps == 0)] = step
+    return Lanes(_rot_coeffs_lanes, np.sqrt, record_divergence)
 
 # integrate_members runs fewer members than this one by one on float lanes.
 # Kernel time per member-step, set2 Lorentzian / quantum LLG, best of 5 on a
@@ -199,36 +204,40 @@ def _row_sink(buf):
 
 
 def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
-               exchange=None):
-    """Memory-free bath: n_steps of RK4 in rotation coordinates.
+               coupled=False):
+    """Memory-free bath: n_steps of RK4 in rotation coordinates, a generator.
 
     s = (sx, sy, sz) lanes; noise = (bx, by, bz), each indexable by grid
     point 0..n_steps and giving lanes (or floats, shared by every lane);
     e = b_ext_dir.  sinks = (x, y, z, norm) receive the initial state and
-    the state after every step.  exchange, if given, maps spin lanes to the
-    exchange-field lanes.
+    the state after every step.  Uncoupled, it never yields: one
+    next(gen, None) runs it.  Coupled, it yields the spin (x, y, z) of each
+    RK stage: the spin s at the start of the step, then s rotated by
+    h/2 o1, h/2 o2 and h o3, o_k being the rate of stage k.  Each yield must
+    be sent back the exchange field (jx, jy, jz) at that spin, which joins
+    the stage's bath field.  It returns after the last step's fourth stage.
     """
     sx, sy, sz = s
     ex, ey, ez = e
     bxl, byl, bzl = noise
     coeffs, sqrt, check = lanes
     ax, ay, az, an = sinks
-    xch = exchange
     gp = sign_gamma / (1.0 + eta * eta)
     lam = eta / (1.0 + eta * eta)
     h2 = 0.5 * h
     h6 = h / 6.0
     ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
+    b1x = ex + bxl[0]; b1y = ey + byl[0]; b1z = ez + bzl[0]
     i = -1
     try:
         for i in range(n_steps):
-            b0x = ex + bxl[i]; b0y = ey + byl[i]; b0z = ez + bzl[i]
+            b0x = b1x; b0y = b1y; b0z = b1z
             b1x = ex + bxl[i + 1]; b1y = ey + byl[i + 1]; b1z = ez + bzl[i + 1]
             bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
             fx = b0x; fy = b0y; fz = b0z
-            if xch is not None:
-                jx, jy, jz = xch(sx, sy, sz)
+            if coupled:
+                jx, jy, jz = yield sx, sy, sz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             o1x = -gp * fx + lam * (sy * fz - sz * fy)
             o1y = -gp * fy + lam * (sz * fx - sx * fz)
@@ -241,8 +250,8 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             fx = bhx; fy = bhy; fz = bhz
-            if xch is not None:
-                jx, jy, jz = xch(px, py, pz)
+            if coupled:
+                jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             rx = -gp * fx + lam * (py * fz - pz * fy)
             ry = -gp * fy + lam * (pz * fx - px * fz)
@@ -259,8 +268,8 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             fx = bhx; fy = bhy; fz = bhz
-            if xch is not None:
-                jx, jy, jz = xch(px, py, pz)
+            if coupled:
+                jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             rx = -gp * fx + lam * (py * fz - pz * fy)
             ry = -gp * fy + lam * (pz * fx - px * fz)
@@ -277,8 +286,8 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
             py = sy + a * cy + b * (uz * cx - ux * cz)
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             fx = b1x; fy = b1y; fz = b1z
-            if xch is not None:
-                jx, jy, jz = xch(px, py, pz)
+            if coupled:
+                jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             rx = -gp * fx + lam * (py * fz - pz * fy)
             ry = -gp * fy + lam * (pz * fx - px * fz)
@@ -305,12 +314,13 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
 
 
 def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
-                      sinks, exchange=None):
-    """Resonant bath: n_steps of RK4, rotation coordinates for s and plain
-    coordinates for the auxiliary vectors V, W.
+                      sinks, coupled=False):
+    """Resonant bath: a generator running n_steps of RK4, rotation
+    coordinates for s and plain coordinates for the auxiliary vectors V, W.
 
     Arguments as for llg_kernel, plus the initial v = (vx, vy, vz) and
-    w = (wx, wy, wz) lanes; sinks = (x, y, z, norm, v_x, v_y, v_z).
+    w = (wx, wy, wz) lanes; sinks = (x, y, z, norm, v_x, v_y, v_z).  It
+    yields the four stage spins of a step when coupled, as llg_kernel does.
     """
     sx, sy, sz = s
     vx, vy, vz = v
@@ -319,7 +329,6 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
     bxl, byl, bzl = noise
     coeffs, sqrt, check = lanes
     ax, ay, az, an, avx, avy, avz = sinks
-    xch = exchange
     g = sign_gamma
     w0sq = p.omega0 ** 2
     gam = p.gamma_width
@@ -328,16 +337,17 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
     h6 = h / 6.0
     ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
     avx(vx); avy(vy); avz(vz)
+    b1x = bxl[0]; b1y = byl[0]; b1z = bzl[0]
     i = -1
     try:
         for i in range(n_steps):
-            b0x = bxl[i]; b0y = byl[i]; b0z = bzl[i]
+            b0x = b1x; b0y = b1y; b0z = b1z
             b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = bzl[i + 1]
             bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
             fx = ex + b0x + vx; fy = ey + b0y + vy; fz = ez + b0z + vz
-            if xch is not None:
-                jx, jy, jz = xch(sx, sy, sz)
+            if coupled:
+                jx, jy, jz = yield sx, sy, sz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             o1x = -g * fx; o1y = -g * fy; o1z = -g * fz
             dv1x = wx; dv1y = wy; dv1z = wz
@@ -354,8 +364,8 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
             v2x = vx + h2 * dv1x; v2y = vy + h2 * dv1y; v2z = vz + h2 * dv1z
             w2x = wx + h2 * dw1x; w2y = wy + h2 * dw1y; w2z = wz + h2 * dw1z
             fx = ex + bhx + v2x; fy = ey + bhy + v2y; fz = ez + bhz + v2z
-            if xch is not None:
-                jx, jy, jz = xch(px, py, pz)
+            if coupled:
+                jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             rx = -g * fx; ry = -g * fy; rz = -g * fz
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
@@ -376,8 +386,8 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
             v3x = vx + h2 * dv2x; v3y = vy + h2 * dv2y; v3z = vz + h2 * dv2z
             w3x = wx + h2 * dw2x; w3y = wy + h2 * dw2y; w3z = wz + h2 * dw2z
             fx = ex + bhx + v3x; fy = ey + bhy + v3y; fz = ez + bhz + v3z
-            if xch is not None:
-                jx, jy, jz = xch(px, py, pz)
+            if coupled:
+                jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             rx = -g * fx; ry = -g * fy; rz = -g * fz
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
@@ -398,8 +408,8 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
             v4x = vx + h * dv3x; v4y = vy + h * dv3y; v4z = vz + h * dv3z
             w4x = wx + h * dw3x; w4y = wy + h * dw3y; w4z = wz + h * dw3z
             fx = ex + b1x + v4x; fy = ey + b1y + v4y; fz = ez + b1z + v4z
-            if xch is not None:
-                jx, jy, jz = xch(px, py, pz)
+            if coupled:
+                jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
             rx = -g * fx; ry = -g * fy; rz = -g * fz
             cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
@@ -444,61 +454,53 @@ def noise_traces(cfg: IntegratorConfig, seed: int, n_sites: int):
                           cfg.margin_time) for k in range(n_sites)]
 
 
-def _float_noise(traces, n_steps: int):
-    """Noise (bx, by, bz) of one spin as float lists; zero, and shared by
-    every lane, without traces."""
-    if traces is None:
-        flat = [0.0] * (n_steps + 1)
-        return flat, flat, flat
-    return tuple(traces[0].components[j].tolist() for j in range(3))
+def _site_noise(trace, n_steps: int):
+    """Noise (bx, by, bz) of one site as float lanes: memoryviews of the
+    trace's rows, or zeros without a trace."""
+    if trace is None:
+        return ([0.0] * (n_steps + 1),) * 3
+    return tuple(memoryview(np.ascontiguousarray(row, dtype=float))
+                 for row in trace.components)
 
 
 def _lane_noise(traces, width: int, n_steps: int):
-    """Noise lanes (bx, by, bz) from one NoiseTrace per lane.
-
-    The traces are copied into a (3, n_steps+1, width) buffer one at a
-    time, so an iterator keeps a single full trace alive.
-    """
+    """Noise lanes (bx, by, bz) from one NoiseTrace per lane, copied into a
+    (3, n_steps+1, width) buffer one at a time (so an iterator keeps a
+    single full trace alive)."""
     buf = np.empty((3, n_steps + 1, width))
     for k, tr in enumerate(traces):
         buf[:, :, k] = tr.components[:, :n_steps + 1]
     return buf[0], buf[1], buf[2]
 
 
-def _exchange_lanes(sys: SpinSystem):
-    """Exchange field on site lanes, as one (3S x 3S) matrix product.
-
-    Lanes are component-major: row c*S + n holds component c of site n.
-    """
+def _lockstep(kernels, sys: SpinSystem):
+    """Run the kernels of exchange-coupled sites together.  At every RK stage
+    their spins are stacked component-major (entry c*S + n is component c
+    of site n), and one (3S x 3S) matrix product gives the fields sent back."""
     n = sys.n_sites
     mat = np.zeros((3 * n, 3 * n))
     for (a, b), j in sys.exchange.items():
         mat[a::n, b::n] += j
-
-    def field(px, py, pz):
-        f = mat @ np.concatenate((px, py, pz))
-        return f[:n], f[n:2 * n], f[2 * n:]
-    return field
-
-
-def _site_major(channels) -> np.ndarray:
-    """(sites, n_steps+1, k) array from k recorded channels, each a list of
-    floats (one site) or an (n_steps+1, sites) array."""
-    a = np.stack(channels, axis=-1)
-    if a.ndim == 2:
-        a = a[:, None, :]
-    return np.ascontiguousarray(a.transpose(1, 0, 2))
+    spins = [next(gen) for gen in kernels]
+    while spins:
+        xs, ys, zs = zip(*spins)
+        f = (mat @ np.array(xs + ys + zs)).tolist()
+        spins = []
+        for gen, field in zip(kernels, zip(f[:n], f[n:2 * n], f[2 * n:])):
+            try:
+                spins.append(gen.send(field))
+            except StopIteration:  # every site returns at the same stage
+                pass
 
 
-def _run_kernel(cfg: IntegratorConfig, s, v, w, noise, e, lanes, sinks,
-                exchange=None):
-    with np.errstate(all="ignore"):  # blown-up array lanes go NaN quietly
-        if isinstance(cfg.bath, LorentzianParams):
-            lorentzian_kernel(s, v, w, noise, cfg.n_steps, cfg.dt, cfg.bath,
-                              cfg.frame.sign_gamma, e, lanes, sinks, exchange)
-        else:
-            llg_kernel(s, noise, cfg.n_steps, cfg.dt, cfg.bath.eta,
-                       cfg.frame.sign_gamma, e, lanes, sinks[:4], exchange)
+def _kernel(cfg: IntegratorConfig, s, v, w, noise, e, lanes, sinks,
+            coupled=False):
+    """The kernel generator of cfg's bath for one run."""
+    if isinstance(cfg.bath, LorentzianParams):
+        return lorentzian_kernel(s, v, w, noise, cfg.n_steps, cfg.dt, cfg.bath,
+                                 cfg.frame.sign_gamma, e, lanes, sinks, coupled)
+    return llg_kernel(s, noise, cfg.n_steps, cfg.dt, cfg.bath.eta,
+                      cfg.frame.sign_gamma, e, lanes, sinks[:4], coupled)
 
 
 def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
@@ -507,8 +509,8 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
 
     The caller's SpinSystem is left untouched.  `traces` overrides the
     internally generated noise (one NoiseTrace per site), which is how
-    shared-noise comparisons across methods are run.  One spin runs on
-    float lanes; several sites run as the lanes of one array kernel.
+    shared-noise comparisons across methods are run.  Each site runs as its
+    own float-lane kernel; sites coupled by exchange step in lockstep.
     """
     n_steps = cfg.n_steps
     n_sites = sys.n_sites
@@ -525,47 +527,32 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
                     f"noise trace dt={tr.dt!r} differs from the run's "
                     f"dt={cfg.dt!r}")
 
-    lorentzian = isinstance(cfg.bath, LorentzianParams)
-    e = tuple(float(x) for x in sys.b_ext_dir)
-    if n_sites == 1:
-        s, v, w = (tuple(float(x) for x in a[0])
-                   for a in (sys.spins, sys.aux_v, sys.aux_w))
-        noise = _float_noise(traces, n_steps)
-        channels = [[] for _ in range(7)]
-        sinks = [c.append for c in channels]
-        lanes, exchange = FLOAT_LANES, None
+    e = sys.b_ext_dir.tolist()
+    s, v, w = (a.tolist() for a in (sys.spins, sys.aux_v, sys.aux_w))
+    channels = [[array("d") for _ in range(7)] for _ in range(n_sites)]
+    kernels = [_kernel(cfg, s[k], v[k], w[k],
+                       _site_noise(traces and traces[k], n_steps), e,
+                       FLOAT_LANES, [c.append for c in rec], bool(sys.exchange))
+               for k, rec in enumerate(channels)]
+    if sys.exchange:
+        with np.errstate(all="ignore"):  # a blown-up site's inf meets matmul
+            _lockstep(kernels, sys)
     else:
-        s, v, w = (tuple(np.array(a[:, j]) for j in range(3))
-                   for a in (sys.spins, sys.aux_v, sys.aux_w))
-        noise = (_float_noise(None, n_steps) if traces is None
-                 else _lane_noise(traces, n_sites, n_steps))
-        channels = [np.empty((n_steps + 1, n_sites)) for _ in range(7)]
-        sinks = [_row_sink(c) for c in channels]
-        lanes = SITE_LANES
-        exchange = _exchange_lanes(sys) if sys.exchange else None
-    _run_kernel(cfg, s, v, w, noise, e, lanes, sinks, exchange)
+        for gen in kernels:
+            next(gen, None)
 
-    times = np.arange(n_steps + 1) * cfg.dt
-    spins = _site_major(channels[:3])
-    norms = np.asarray(channels[3]).reshape(n_steps + 1, n_sites).T
-    return Trajectory(times=times, spins=spins,
-                      norms=np.ascontiguousarray(norms),
-                      aux_v=_site_major(channels[4:]) if lorentzian else None)
-
-
-def _member_sz_on_floats(cfg: IntegratorConfig, seed: int, s, e):
-    """(sz, step) of one single-spin run on float lanes: sz is the list of
-    s_z up to the step the run diverged at, step that step or 0."""
-    noise = _float_noise(noise_traces(cfg, seed, 1), cfg.n_steps)
-    sz = []
-    sinks = [_skip] * 7
-    sinks[2] = sz.append
-    zeros = (0.0, 0.0, 0.0)
-    try:
-        _run_kernel(cfg, s, zeros, zeros, noise, e, FLOAT_LANES, sinks)
-    except IntegrationDivergedError as err:
-        return sz, err.step
-    return sz, 0
+    spins = np.empty((n_sites, n_steps + 1, 3))
+    norms = np.empty((n_sites, n_steps + 1))
+    lorentzian = isinstance(cfg.bath, LorentzianParams)
+    aux_v = np.empty_like(spins) if lorentzian else None
+    for k, rec in enumerate(channels):
+        for j in range(3):
+            spins[k, :, j] = rec[j]
+            if lorentzian:
+                aux_v[k, :, j] = rec[4 + j]
+        norms[k] = rec[3]
+    return Trajectory(times=np.arange(n_steps + 1) * cfg.dt, spins=spins,
+                      norms=norms, aux_v=aux_v)
 
 
 def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
@@ -584,31 +571,32 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
     sys = SpinSystem.single(initial_spin)
     e = tuple(float(x) for x in sys.b_ext_dir)
     sz = np.empty((n_steps + 1, width))
+    sinks = [_skip] * 7
     if width < MIN_LANES:
-        s = tuple(float(x) for x in sys.spins[0])
+        s, zeros = sys.spins[0].tolist(), (0.0, 0.0, 0.0)
         steps = [0] * width
         for k, seed in enumerate(seeds):
-            col, steps[k] = _member_sz_on_floats(cfg, seed, s, e)
+            traces = noise_traces(cfg, seed, 1)
+            col = array("d")
+            sinks[2] = col.append
+            try:
+                next(_kernel(cfg, s, zeros, zeros,
+                             _site_noise(traces and traces[0], n_steps), e,
+                             FLOAT_LANES, sinks), None)
+            except IntegrationDivergedError as err:
+                steps[k] = err.step
             sz[:len(col), k] = col
             sz[len(col):, k] = math.nan
         return sz, steps
 
-    if cfg.noise_kind is None:
-        noise = _float_noise(None, n_steps)
-    else:
-        noise = _lane_noise((noise_traces(cfg, seed, 1)[0] for seed in seeds),
-                            width, n_steps)
+    noise = (_site_noise(None, n_steps) if cfg.noise_kind is None else
+             _lane_noise((noise_traces(cfg, seed, 1)[0] for seed in seeds),
+                         width, n_steps))
     steps = np.zeros(width, dtype=np.int64)
-
-    def record_divergence(step, x):
-        bad = ~np.isfinite(x)
-        if bad.any():
-            steps[bad & (steps == 0)] = step
-
     s = tuple(np.full(width, float(x)) for x in sys.spins[0])
     zeros = tuple(np.zeros(width) for _ in range(3))
-    sinks = [_skip] * 7
     sinks[2] = _row_sink(sz)
-    _run_kernel(cfg, s, zeros, zeros, noise, e,
-                Lanes(_rot_coeffs_lanes, np.sqrt, record_divergence), sinks)
+    with np.errstate(all="ignore"):  # blown-up lanes go NaN quietly
+        next(_kernel(cfg, s, zeros, zeros, noise, e, _member_lanes(steps),
+                     sinks), None)
     return sz, [int(k) for k in steps]

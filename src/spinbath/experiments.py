@@ -123,12 +123,14 @@ def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
 
 
 def _pmap(job, items, workers: int):
-    """[job(*args) for args in items], over a process pool if workers > 1."""
+    """job(*args) for each of items, yielded in order as the caller consumes
+    them; over a process pool, open until the last result, if workers > 1."""
     if workers <= 1:
-        return [job(*args) for args in items]
+        yield from (job(*args) for args in items)
+        return
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(job, *zip(*items)))
+        yield from ex.map(job, *zip(*items))
 
 
 def _run_members(cfg: IntegratorConfig, seeds, initial_spin, workers: int = 1):
@@ -242,6 +244,15 @@ def _sweep_seed(base: int, mi: int, ti: int) -> int:
     return derive_seed(base, ((mi + 1) * 1024 + ti) << 32)
 
 
+def _sweep_point(method: str, cfg: IntegratorConfig, *args):
+    """averaged_steady_state of one point; a divergence names the point."""
+    try:
+        return averaged_steady_state(cfg, *args)
+    except IntegrationDivergedError as err:
+        msg = f"{err} of {method} at T = {cfg.temperature:g} K"
+        raise IntegrationDivergedError(err.step, msg) from None
+
+
 def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
                       dt: float = 0.15, t_max: float = DESK_SWEEP_T_MAX,
                       seed: int = 0, n_replicas: int = 1,
@@ -253,7 +264,8 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
     Temperatures must be sorted ascending; if the grid starts at 0 the
     rescaled curve m(T) = sz(T)/sz(0) is attached to each result.  Points
     are independent work items with index-derived seeds, so the output does
-    not depend on `workers`.  Too short a run fails before any point runs.
+    not depend on `workers`.  Too short a run fails before any point runs;
+    a divergence names the method and temperature of its point.
     """
     temps = np.asarray(temperatures, dtype=float)
     if temps.ndim != 1 or len(temps) == 0:
@@ -269,9 +281,9 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
             cfg = method_config(method, frame, float(temp), dt=dt, t_max=t_max,
                                 cutoff=cutoff)
             _steady_blocks(cfg)
-            jobs.append((cfg, n_replicas, _sweep_seed(seed, mi, ti),
+            jobs.append((method, cfg, n_replicas, _sweep_seed(seed, mi, ti),
                          tuple(initial_spin)))
-    results = _pmap(averaged_steady_state, jobs, workers)
+    results = list(_pmap(_sweep_point, jobs, workers))
     out = []
     n = len(temps)
     for mi, method in enumerate(methods):

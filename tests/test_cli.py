@@ -269,7 +269,8 @@ methods = lorentzian-set1
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
         assert errs[0] == ("error: integration diverged at step 26 in "
-                           "steady-state replica 0\n")
+                           "steady-state replica 0 of lorentzian-set1 at "
+                           "T = 1 K\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_validate_mode_passes_on_defaults(self, capsys):

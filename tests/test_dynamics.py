@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath import dynamics
-from spinbath.dynamics import (FLOAT_LANES, SITE_LANES, IntegratorConfig,
-                               integrate, integrate_members, llg_kernel,
+from spinbath.dynamics import (FLOAT_LANES, IntegratorConfig, integrate,
+                               integrate_members, llg_kernel,
                                lorentzian_kernel)
 from spinbath.experiments import DEFAULT_ETA, METHOD_TAGS, method_config
 from spinbath.model import (ConfigurationError, IntegrationDivergedError,
@@ -30,8 +30,8 @@ def llg_step(field, spin, h, eta=0.0, lanes=FLOAT_LANES):
     rec = [[] for _ in range(4)]
     quiet = ([0.0, 0.0],) * 3
     with np.errstate(invalid="ignore"):  # 0/0 on a zero-angle array lane
-        llg_kernel(tuple(spin), quiet, 1, h, eta, -1.0, tuple(field), lanes,
-                   [r.append for r in rec])
+        next(llg_kernel(tuple(spin), quiet, 1, h, eta, -1.0, tuple(field),
+                        lanes, [r.append for r in rec]), None)
     return np.array([rec[0][-1], rec[1][-1], rec[2][-1]])
 
 
@@ -413,6 +413,11 @@ def bad_noise_for(seed_to_break, step):
     return patched
 
 
+def member_lanes(width):
+    """The array lanes integrate_members runs its members on."""
+    return dynamics._member_lanes(np.zeros(width, dtype=np.int64))
+
+
 class TestLanes:
     @pytest.mark.parametrize("method,temp", [(m, 1.0) for m in METHOD_TAGS]
                              + [("llg-classical", 0.0)])
@@ -445,19 +450,19 @@ class TestLanes:
             s_, v_, w_ = (tuple(lane(x) for x in q) for q in state)
             noise_ = tuple([lane(x) for x in n] for n in noise)
             with np.errstate(invalid="ignore"):
-                lorentzian_kernel(s_, v_, w_, noise_, 1, h, SET2, -1.0,
-                                  (0.0, 0.0, 1.0), lanes,
-                                  [r.append for r in rec])
+                next(lorentzian_kernel(s_, v_, w_, noise_, 1, h, SET2, -1.0,
+                                       (0.0, 0.0, 1.0), lanes,
+                                       [r.append for r in rec]), None)
             return np.array([np.ravel(r[-1])[0] for r in rec])
 
         assert np.array_equal(step(FLOAT_LANES, float),
-                              step(SITE_LANES, lambda x: np.array([x, x])))
+                              step(member_lanes(2), lambda x: np.array([x, x])))
 
     def test_zero_rotation_takes_the_series_on_every_lane(self):
         # lane 0 sits in zero field (rotation angle 0), lane 1 does not
         s = (np.array([1.0, 0.6]), np.array([0.0, 0.0]), np.array([0.0, 0.8]))
         e = (np.array([0.0, 0.3]), np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-        out = llg_step(e, s, 0.5, eta=0.1, lanes=SITE_LANES)
+        out = llg_step(e, s, 0.5, eta=0.1, lanes=member_lanes(2))
         for k in range(2):
             one = llg_step([x[k] for x in e], [x[k] for x in s], 0.5, eta=0.1)
             assert np.array_equal(out[:, k], one)
@@ -481,12 +486,58 @@ class TestLanes:
                                 seed=seeds[k])
                 assert np.array_equal(sz[:, k], one.sz())
 
-    def test_sites_as_lanes_raise_on_divergence(self):
+    def test_sites_as_lanes_raise_on_divergence(self, monkeypatch):
         bad = LorentzianParams(omega0=50.0, gamma_width=1.0, alpha=1.0)
         cfg = IntegratorConfig(frame=FRAME, bath=bad, dt=0.5, t_max=40.0)
-        pair = SpinSystem(spins=np.array([[-1.0, 0, 0], [0, 1.0, 0]]))
-        with pytest.raises(IntegrationDivergedError) as err:
-            integrate(pair, cfg)
+        spins = np.array([[-1.0, 0, 0], [0, 1.0, 0]])
+        pair = SpinSystem(spins=spins)
+        coupled = SpinSystem(spins=spins, exchange={(0, 1): 0.2 * np.eye(3)})
         with pytest.raises(IntegrationDivergedError) as one:
             integrate(SpinSystem.single((-1, 0, 0)), cfg)
-        assert err.value.step == one.value.step
+        for system in (pair, coupled):
+            with pytest.raises(IntegrationDivergedError) as err:
+                integrate(system, cfg)
+            assert err.value.step == one.value.step
+        # one coupled site's field turns infinite from grid point 40
+        real = dynamics.noise_traces
+
+        def patched(cfg, seed, n_sites):
+            traces = real(cfg, seed, n_sites)
+            traces[1].components[:, 40:] = np.inf
+            return traces
+        monkeypatch.setattr(dynamics, "noise_traces", patched)
+        cfg = method_config("llg-classical", FRAME, 10.0, t_max=15.0)
+        with pytest.raises(IntegrationDivergedError) as err:
+            integrate(coupled, cfg, seed=3)
+        assert err.value.step == 40
+        assert "step 40" in str(err.value)
+
+    @pytest.mark.parametrize("method", ["llg-quantum", "lorentzian-set2"])
+    def test_lockstep_sites_get_their_own_field_and_noise(self, method):
+        # sites 0 and 1 are coupled; site 2 is attached by a zero tensor, so
+        # it runs in lockstep yet must equal its own single run, and the
+        # coupled sites must equal the same pair run without it
+        spins = np.array([[-1.0, 0, 0], [0, 1.0, 0], [0.6, 0, 0.8]])
+        j = 0.3 * np.eye(3)
+        zero = np.zeros((3, 3))
+        cfg = method_config(method, FRAME, 1.0, t_max=30.0)
+        chain = SpinSystem(spins=spins, exchange={(0, 1): j, (1, 2): zero})
+        idle = SpinSystem(spins=spins, exchange={(0, 1): zero, (1, 2): zero})
+        pair = integrate(SpinSystem(spins=spins[:2], exchange={(0, 1): j}),
+                         cfg, seed=90)
+        for system in (chain, idle):
+            traj = integrate(system, cfg, seed=90)
+            alone = range(3) if system is idle else [2]
+            for k in range(3):
+                if k in alone:
+                    ref = integrate(SpinSystem.single(spins[k]), cfg,
+                                    seed=site_seed(90, k))
+                    r = 0
+                else:
+                    ref, r = pair, k
+                assert np.array_equal(traj.spins[k], ref.spins[r])
+                assert np.array_equal(traj.norms[k], ref.norms[r])
+                if ref.aux_v is not None:
+                    assert np.array_equal(traj.aux_v[k], ref.aux_v[r])
+        assert not np.array_equal(pair.spins[0], integrate(
+            SpinSystem.single(spins[0]), cfg, seed=90).spins[0])

@@ -106,6 +106,27 @@ class TestEnsembleAverage:
             assert np.array_equal(other.sz_stderr, one_batch.sz_stderr)
         assert one_batch.n_used == n
 
+    def test_batches_run_as_their_columns_are_consumed(self, monkeypatch):
+        cfg = method_config("llg-classical", FRAME, 1.0, t_max=15.0)
+        monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
+                            4 * 32 * (cfg.n_steps + 1))
+        log = []
+        real = experiments.integrate_members
+
+        def spy(cfg, seeds, initial_spin):
+            log.append(("batch", seeds[0]))
+            return real(cfg, seeds, initial_spin)
+        monkeypatch.setattr(experiments, "integrate_members", spy)
+        members = experiments._run_members(cfg, list(range(12)),
+                                           (-1.0, 0.0, 0.0))
+        for i, _ in enumerate(members):
+            log.append(("column", i))
+        want = []
+        for b in range(3):
+            want += [("batch", 4 * b)] + [("column", i)
+                                          for i in range(4 * b, 4 * b + 4)]
+        assert log == want
+
     def test_divergence_names_first_member_and_step(self, monkeypatch):
         cfg = method_config("llg-classical", FRAME, 10.0, t_max=15.0)
         real = dynamics.noise_traces

@@ -1,9 +1,12 @@
 """Smoke runs of the experiment scripts in scripts/, at tiny sizes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from spinbath.experiments import METHOD_TAGS
 
@@ -61,3 +64,40 @@ def test_steady_state_sweep(tmp_path):
         cols += [f"{m}_sz", f"{m}_err", f"{m}_m"]
     check(tmp_path / "steady_state_n1.csv", cols, 9)
     assert not (tmp_path / "steady_state_n200.csv").exists()
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def run(wall, rate, failed=0):
+        return {"correct": failed == 0, "failed": failed,
+                "metrics": {"wall_s": wall, "rate": rate}}
+    pairs = [{"base": run(b, 1.0), "change": run(c, r)}
+             for b, c, r in [(2.0, 0.4, 2.0), (2.4, 0.5, 0.5),
+                             (2.2, 0.3, 1.0), (1.8, 2.0, 3.0)]]
+    pairs[3]["change"]["failed"] = 1
+    pairs[3]["change"]["correct"] = False
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
+               {"name": "rate", "unit": "1/s", "better": "higher"}]
+    out = bench_pairs.summarise(pairs, metrics)
+    assert out["pairs"] == 4
+    assert out["correct"] is False
+    assert out["failed"] == {"base": 0, "change": 1}
+    wall = out["metrics"]["wall_s"]
+    assert wall["base"] == pytest.approx({"q1": 1.95, "median": 2.1,
+                                          "q3": 2.25})
+    assert wall["change"]["median"] == pytest.approx(0.45)
+    assert wall["change_wins"] == 3
+    assert wall["median_change_frac"] == pytest.approx((0.45 - 2.1) / 2.1)
+    assert wall["gap_exceeds_base_iqr"] is True
+    rate = out["metrics"]["rate"]
+    assert rate["change_wins"] == 2  # higher is better; a tie is no win
+    assert rate["base"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
+    assert rate["gap_exceeds_base_iqr"] is True  # 1.5 against 1.0, IQR 0
+    assert bench_pairs.parse_pairs(["chain=10", "sweep=3"]) == {
+        "chain": 10, "sweep": 3}
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_pairs(["chain"])
