@@ -14,7 +14,8 @@ no run competes with another for a core.
 
 The JSON records both git shas, nproc, the Python, numpy and scipy versions,
 every run's result, and per workload and end-to-end metric the median and
-quartiles of each side and the number of pairs the change won.
+quartiles of each side, the number of pairs the change won and whether the
+change's median is within the metric's BENCHMARK.json bound.
 """
 
 from __future__ import annotations
@@ -71,11 +72,13 @@ def quartiles(values) -> dict:
 
 
 def summarise(pairs: list, metrics: list) -> dict:
-    """Per metric: quartiles of each side, pairs the change won, and whether
-    the medians differ by more than the base's interquartile range.
+    """Per metric: quartiles of each side, pairs the change won, whether
+    the medians differ by more than the base's interquartile range, and
+    whether the change's median is within the metric's regression bound.
 
     pairs is a list of {"base": run, "change": run}; metrics are the
-    BENCHMARK.json end-to-end entries (name, unit, better).
+    BENCHMARK.json end-to-end entries (name, unit, better, bound).  A bound
+    is a fraction of the base median by which the change may be worse.
     """
     out = {"pairs": len(pairs),
            "correct": all(p[s]["correct"] for p in pairs for s in SIDES),
@@ -95,6 +98,7 @@ def summarise(pairs: list, metrics: list) -> dict:
             "change_wins": wins,
             "median_change_frac": (change - base) / base if base else None,
             "gap_exceeds_base_iqr": abs(change - base) > base_iqr,
+            "within_bound": sign * (change - base) <= m["bound"] * abs(base),
         }
     return out
 

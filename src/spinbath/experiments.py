@@ -139,7 +139,11 @@ def _run_members(cfg: IntegratorConfig, seeds, initial_spin, workers: int = 1):
     bounds = _ensemble_batches(len(seeds), cfg.n_steps, workers)
     jobs = [(cfg, seeds[a:b], tuple(initial_spin)) for a, b in bounds]
     for sz, steps in _pmap(integrate_members, jobs, workers):
-        yield from zip(sz.T, steps)
+        # copies, and the batch dropped before the next is fetched: no column
+        # the caller still holds keeps a finished batch alive meanwhile
+        for k, step in enumerate(steps):
+            yield sz[:, k].copy(), step
+        del sz
 
 
 def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,

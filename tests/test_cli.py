@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinbath import cli
 from spinbath.cli import main, parse_config, run, write_csv
 from spinbath.dynamics import integrate, noise_traces
 from spinbath.model import ConfigurationError, SpinSystem
@@ -161,6 +162,18 @@ class TestRunModes:
         for i, row in enumerate(rows):
             assert row == [f"{v:.17g}" for v in
                            (i * dt, *trace.components[:, i])]
+
+    @pytest.mark.parametrize("downsample", [1, 5])
+    def test_chunk_boundaries_do_not_change_the_files(self, tmp_path,
+                                                      monkeypatch, downsample):
+        cfg = parse_config(BASE + f"\ndownsample = {downsample}\n")
+        cfg.dump_noise = True
+        run(cfg, out_dir=tmp_path / "default")
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 7)  # rows: 201, 41 at ds = 5
+        run(cfg, out_dir=tmp_path / "chunked")
+        for name in ("trajectory.csv", "trajectory.noise0.csv"):
+            assert ((tmp_path / "chunked" / name).read_bytes()
+                    == (tmp_path / "default" / name).read_bytes())
 
     def test_ensemble_mode(self, tmp_path):
         text = BASE.replace("mode = trajectory", "mode = ensemble") + "\nn_traj = 4\n"

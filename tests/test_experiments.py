@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +127,28 @@ class TestEnsembleAverage:
             want += [("batch", 4 * b)] + [("column", i)
                                           for i in range(4 * b, 4 * b + 4)]
         assert log == want
+
+    @pytest.mark.parametrize("consumer", ["ensemble", "steady state"])
+    def test_finished_batch_is_released_before_the_next_runs(self, monkeypatch,
+                                                             consumer):
+        cfg = method_config("llg-classical", FRAME, 1.0,
+                            t_max=15.0 if consumer == "ensemble" else 2100.0)
+        monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
+                            32 * (cfg.n_steps + 1))  # one member per batch
+        batches, alive = [], []
+        real = experiments.integrate_members
+
+        def spy(cfg, seeds, initial_spin):
+            alive.append([ref() is not None for ref in batches])
+            sz, steps = real(cfg, seeds, initial_spin)
+            batches.append(weakref.ref(sz))
+            return sz, steps
+        monkeypatch.setattr(experiments, "integrate_members", spy)
+        if consumer == "ensemble":
+            ensemble_average(cfg, 3, base_seed=2)
+        else:
+            averaged_steady_state(cfg, 3, base_seed=2)
+        assert alive == [[], [False], [False, False]]
 
     def test_divergence_names_first_member_and_step(self, monkeypatch):
         cfg = method_config("llg-classical", FRAME, 10.0, t_max=15.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,23 @@ def banded(omega, values, width=0.1):
     m = (len(omega) // nb) * nb
     return (omega[:m].reshape(-1, nb).mean(axis=1),
             values[:m].reshape(-1, nb).mean(axis=1))
+
+
+def colour_reference(white, psd, dt):
+    """Whole-array colouring, ifft(amp * fft(xi)) on all three rows at once."""
+    omega = 2.0 * math.pi * np.fft.fftfreq(white.shape[1], d=dt)
+    amp = np.sqrt(psd.trace_density(omega))
+    return np.fft.ifft(amp * np.fft.fft(white, axis=1), axis=1).real
+
+
+# Every spectrum kind; quantum-ohmic cut at the Nyquist frequency and inside
+# the band, where its hard cutoff zeroes part of the filter.
+SPECTRA = [("classical-ohmic", OhmicParams(ETA), 200.0, None),
+           ("quantum-ohmic", OhmicParams(ETA), 1.0, math.pi / DT),
+           ("quantum-ohmic", OhmicParams(ETA), 1.0, 10.0),
+           ("quantum-lorentzian", SET1, 1.0, None),
+           ("quantum-lorentzian", SET2, 0.0, None),
+           ("classical-lorentzian", SET2, 5.0, None)]
 
 
 def welch_density(trace, nperseg=2 ** 13):
@@ -119,6 +137,40 @@ class TestColour:
         psd = power_spectrum("classical-ohmic", OhmicParams(ETA), 0.0, FRAME)
         trace = coloured_trace(WhiteSeed(seed=71, n_samples=4096, dt=DT), psd)
         assert np.all(trace.components == 0.0)
+
+    @pytest.mark.parametrize("n", [2 ** 12, 4099])  # 4099 is prime: Bluestein
+    @pytest.mark.parametrize("kind,params,temp,cutoff", SPECTRA)
+    def test_bitwise_equal_to_whole_array_colouring(self, kind, params, temp,
+                                                    cutoff, n):
+        psd = power_spectrum(kind, params, temp, FRAME, cutoff=cutoff)
+        white = white_gaussian(WhiteSeed(seed=13, n_samples=n, dt=DT))
+        got = colour(white, psd, DT).components
+        assert got.flags.c_contiguous and got.shape == (3, n)
+        assert got.tobytes() == colour_reference(white, psd, DT).tobytes()
+
+    # Peak bytes allocated by colour per sample, tracemalloc, numpy 2.4.6:
+    # quantum-ohmic (cutoff 10) at n = 301,661 and quantum-lorentzian at
+    # n = 2,279 read 120.4 and 184.8 colouring all three rows at once, and
+    # 59.0 and 67.5 one row at a time.  The result holds 24, one complex row
+    # 16 and the filter 8; the peak is the spectrum's own evaluation.  One
+    # complex (3, n) temporary alone is 48, so the gate sits below that plus
+    # the result.  tracemalloc counts numpy's array allocations only, not
+    # pocketfft's internal scratch (Bluestein buffers), so this gate cannot
+    # catch growth there; the benchmark's peak RSS covers that.
+    @pytest.mark.parametrize("kind,params,cutoff,n", [
+        ("quantum-ohmic", OhmicParams(ETA), 10.0, 301_661),
+        ("quantum-lorentzian", SET2, None, 2_279)])
+    def test_peak_memory_per_sample(self, kind, params, cutoff, n):
+        psd = power_spectrum(kind, params, 1.0, FRAME, cutoff=cutoff)
+        white = white_gaussian(WhiteSeed(seed=17, n_samples=n, dt=DT))
+        tracemalloc.start()
+        try:
+            trace = colour(white, psd, DT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n_samples == n
+        assert peak / n < 72.0
 
     def test_bad_shapes_rejected(self):
         psd = power_spectrum("classical-ohmic", OhmicParams(ETA), 200.0, FRAME)

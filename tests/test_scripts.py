@@ -72,16 +72,25 @@ def test_bench_pairs_summary_on_canned_runs():
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
 
-    def run(wall, rate, failed=0):
+    def run(wall, rate, rss, hits, failed=0):
         return {"correct": failed == 0, "failed": failed,
-                "metrics": {"wall_s": wall, "rate": rate}}
-    pairs = [{"base": run(b, 1.0), "change": run(c, r)}
-             for b, c, r in [(2.0, 0.4, 2.0), (2.4, 0.5, 0.5),
-                             (2.2, 0.3, 1.0), (1.8, 2.0, 3.0)]]
+                "metrics": {"wall_s": wall, "rate": rate, "rss": rss,
+                            "hits": hits}}
+    pairs = [{"base": run(b, 1.0, 100.0, 10.0), "change": run(c, r, m, h)}
+             for b, c, r, m, h in [(2.0, 0.4, 2.0, 104.0, 8.0),
+                                   (2.4, 0.5, 0.5, 106.0, 9.5),
+                                   (2.2, 0.3, 1.0, 107.0, 8.5),
+                                   (1.8, 2.0, 3.0, 105.0, 8.8)]]
     pairs[3]["change"]["failed"] = 1
     pairs[3]["change"]["correct"] = False
-    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"},
-               {"name": "rate", "unit": "1/s", "better": "higher"}]
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower",
+                "bound": 0.24},
+               {"name": "rate", "unit": "1/s", "better": "higher",
+                "bound": 0.1},
+               {"name": "rss", "unit": "MB", "better": "lower",
+                "bound": 0.05},
+               {"name": "hits", "unit": "1", "better": "higher",
+                "bound": 0.1}]
     out = bench_pairs.summarise(pairs, metrics)
     assert out["pairs"] == 4
     assert out["correct"] is False
@@ -93,10 +102,24 @@ def test_bench_pairs_summary_on_canned_runs():
     assert wall["change_wins"] == 3
     assert wall["median_change_frac"] == pytest.approx((0.45 - 2.1) / 2.1)
     assert wall["gap_exceeds_base_iqr"] is True
+    assert wall["within_bound"] is True
     rate = out["metrics"]["rate"]
     assert rate["change_wins"] == 2  # higher is better; a tie is no win
     assert rate["base"] == {"q1": 1.0, "median": 1.0, "q3": 1.0}
     assert rate["gap_exceeds_base_iqr"] is True  # 1.5 against 1.0, IQR 0
+    assert rate["within_bound"] is True
+    # lower is better: median 105.5 is 5.5% above the base, bound 5%
+    assert out["metrics"]["rss"]["within_bound"] is False
+    # higher is better: median 8.65 is 13.5% below the base, bound 10%
+    assert out["metrics"]["hits"]["within_bound"] is False
+    pairs[0]["change"]["metrics"]["rss"] = 102.0
+    pairs[1]["change"]["metrics"]["rss"] = 104.0
+    pairs[1]["change"]["metrics"]["hits"] = 9.8
+    pairs[2]["change"]["metrics"]["hits"] = 9.6
+    out = bench_pairs.summarise(pairs, metrics)
+    # 104.5 is 4.5% above the base; 9.2 is 8% below it
+    assert out["metrics"]["rss"]["within_bound"] is True
+    assert out["metrics"]["hits"]["within_bound"] is True
     assert bench_pairs.parse_pairs(["chain=10", "sweep=3"]) == {
         "chain": 10, "sweep": 3}
     with pytest.raises(SystemExit):
