@@ -15,5 +15,4 @@ from .noise import (NoiseTrace, WhiteSeed, colour, coloured_trace,
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .experiments import (SweepResult, averaged_steady_state,
                           ensemble_average, equilibration_time,
-                          equivalent_classical_temperature, method_config,
-                          statphys_oracle, temperature_sweep)
+                          method_config, statphys_oracle, temperature_sweep)

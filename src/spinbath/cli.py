@@ -11,7 +11,6 @@ import argparse
 import configparser
 import dataclasses
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,18 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coupling import (SPECTRUM_KINDS, fdt_check, kernel_moments,
-                       lorentzian_coupling, lorentzian_kernel_freq,
-                       lorentzian_kernel_time, ohmic_kernel_im_freq,
-                       ohmic_coupling)
+from .coupling import (DEFAULT_CUTOFF, SPECTRUM_KINDS, fdt_residuals,
+                       moment_quadrature_error, power_spectrum, psd_expansion)
 from .dynamics import IntegratorConfig, integrate, noise_traces
 from .experiments import (DEFAULT_ETA, DESK_ENSEMBLE_T_MAX, DESK_N_TRAJ,
                           DESK_SWEEP_T_MAX, METHOD_TAGS, ensemble_average,
-                          statphys_oracle, temperature_sweep)
+                          method_config, statphys_oracle, temperature_sweep)
 from .model import (GAMMA_ELECTRON, SET1, SET2, ConfigurationError,
                     IntegrationDivergedError, LorentzianParams, OhmicParams,
                     ParameterError, SpinSystem, UnitFrame, build_unit_frame)
-from .noise import WhiteSeed, coloured_trace
+from .noise import WhiteSeed, banded_psd_error
 
 MODES = ("trajectory", "ensemble", "sweep", "validate")
 
@@ -180,6 +177,8 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg.n_replicas = get("run", "n_replicas", int, cfg.n_replicas)
     cfg.seed = get("run", "seed", int, cfg.seed)
     cfg.workers = get("run", "workers", int, cfg.workers)
+    if cfg.workers < 1:
+        raise ConfigurationError("run.workers must be >= 1")
     cfg.downsample = get("run", "downsample", int, cfg.downsample)
     if cfg.downsample < 1:
         raise ConfigurationError("run.downsample must be >= 1")
@@ -301,56 +300,31 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def _validate_checks(cfg: ExperimentConfig):
-    """Invariant suite: yields (name, passed, detail)."""
-    from scipy.integrate import quad
-    from scipy.signal import welch
-
+    """Invariant suite: yields (name, passed, detail).  The measurements are
+    library functions; the sizes and gates here are validate's own."""
     frame = build_unit_frame(cfg.b_ext_tesla, cfg.gamma, cfg.spin_halves)
 
-    for name, p in (("set1", SET1), ("set2", SET2)):
-        res = fdt_check(lambda w, p=p: lorentzian_coupling(w, p),
-                        lambda w, p=p: lorentzian_kernel_freq(w, p).imag)
+    for name, res in fdt_residuals().items():
         yield f"fdt-identity-{name}", res < 1e-10, f"residual={res:.2e}"
-    res = fdt_check(lambda w: ohmic_coupling(w, DEFAULT_ETA),
-                    lambda w: ohmic_kernel_im_freq(w, DEFAULT_ETA))
-    yield "fdt-identity-ohmic", res < 1e-10, f"residual={res:.2e}"
 
     for name, p in (("set1", SET1), ("set2", SET2)):
-        mom = kernel_moments(p, max_m=4)
-        worst = 0.0
-        for m in range(1, 5):
-            # 80/Gamma: tau^m amplifies the tail, 40/Gamma truncates at ~2e-2
-            num, _ = quad(lambda tau, m=m: tau ** m * lorentzian_kernel_time(tau, p),
-                          0.0, 80.0 / p.gamma_width, limit=800)
-            closed = (-1.0) ** m * math.factorial(m) * mom.kappa[m - 1]
-            worst = max(worst, abs(num - closed) / abs(closed))
+        worst = moment_quadrature_error(p)
         yield f"kernel-moments-{name}", worst < 1e-6, f"max rel err={worst:.2e}"
 
-    # quick spectral fidelity: banded periodogram vs target
+    # quick spectral fidelity: banded Welch density vs target
     kinds = [("classical-ohmic", OhmicParams(DEFAULT_ETA), 200.0, None),
              ("quantum-ohmic", OhmicParams(DEFAULT_ETA), 1.0, 10.0),
              ("quantum-lorentzian", SET1, 1.0, None),
              ("quantum-lorentzian", SET2, 1.0, None)]
-    from .coupling import power_spectrum as _ps
     for i, (kind, params, temp, cut) in enumerate(kinds):
-        psd = _ps(kind, params, temp, frame, cutoff=cut)
-        tr = coloured_trace(WhiteSeed(seed=1234 + i, n_samples=2 ** 18, dt=0.15), psd)
-        f, pxx = welch(tr.components, fs=1.0 / 0.15, nperseg=2 ** 13,
-                       noverlap=2 ** 12, window="hann", detrend=False, axis=1)
-        est = pxx.mean(axis=0) / 2.0
-        om = 2.0 * math.pi * f
-        target = psd.trace_density(om)
-        nb = 20
-        m = (len(om) // nb) * nb
-        eb = est[:m].reshape(-1, nb).mean(axis=1)
-        tb = target[:m].reshape(-1, nb).mean(axis=1)
-        mask = tb > 0.05 * tb.max()
-        rel = float(np.max(np.abs(eb[mask] - tb[mask]) / tb[mask]))
+        psd = power_spectrum(kind, params, temp, frame, cutoff=cut)
+        rel = banded_psd_error(
+            psd, WhiteSeed(seed=1234 + i, n_samples=2 ** 18, dt=0.15),
+            nperseg=2 ** 13, band=20)
         label = kind if params is not SET2 else kind + "-set2"
         yield f"noise-psd-{label}", rel < 0.15, f"max banded rel err={rel:.3f}"
 
     # norm conservation, all four methods, 1e4 steps at dt = 0.15
-    from .experiments import method_config
     fr = build_unit_frame(10.0, GAMMA_ELECTRON, 1)
     for method in METHOD_TAGS:
         icfg = method_config(method, fr, 1.0, t_max=1500.0)
@@ -364,6 +338,15 @@ def _validate_checks(cfg: ExperimentConfig):
     b = integrate(SpinSystem.single((-1, 0, 0)), icfg, seed=3)
     same = bool(np.array_equal(a.spins, b.spins))
     yield "determinism", same, "bit-identical repeat" if same else "mismatch"
+
+    # the paper's Ohmic limit: the leading moment term of the set-2 spectrum
+    # is the quantum-Ohmic density at eta = -kappa_1 = 50/2401
+    om = np.linspace(-2.5, 2.5, 501)
+    lead = psd_expansion(SET2, 0, om, 1.0, frame)
+    ohmic = power_spectrum("quantum-ohmic", OhmicParams(DEFAULT_ETA), 1.0,
+                           frame, cutoff=DEFAULT_CUTOFF)(om)
+    gap = float(np.max(np.abs(lead - ohmic) / ohmic))
+    yield "ohmic-limit-set2", gap <= 1e-12, f"max rel gap={gap:.2e}"
 
 
 def _run_validate(cfg: ExperimentConfig) -> int:
@@ -422,6 +405,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.workers is not None:
+            if args.workers < 1:
+                raise ConfigurationError("--workers must be >= 1")
             cfg.workers = args.workers
         if args.dump_noise:
             cfg.dump_noise = True

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ConfigurationError, LorentzianParams, OhmicParams,
-                    ParameterError, UnitFrame)
+from .model import (SET1, SET2, ConfigurationError, LorentzianParams,
+                    OhmicParams, ParameterError, UnitFrame)
 
 SPECTRUM_KINDS = (
     "classical-ohmic",
@@ -208,6 +208,37 @@ def fdt_check(coupling_fn, kernel_im_fn, omega=None) -> float:
     c = np.asarray(coupling_fn(om), dtype=float)
     im_k = np.asarray(kernel_im_fn(om), dtype=float)
     return float(np.max(np.abs(c ** 2 - (2.0 * om / math.pi) * im_k)))
+
+
+def fdt_residuals() -> dict:
+    """fdt_check residual of each standard bath: set1, set2 and the Ohmic
+    bath at their shared effective damping 50/2401."""
+    eta = SET1.eta_equivalent
+    res = {name: fdt_check(lambda w, p=p: lorentzian_coupling(w, p),
+                           lambda w, p=p: lorentzian_kernel_freq(w, p).imag)
+           for name, p in (("set1", SET1), ("set2", SET2))}
+    res["ohmic"] = fdt_check(lambda w: ohmic_coupling(w, eta),
+                             lambda w: ohmic_kernel_im_freq(w, eta))
+    return res
+
+
+def moment_quadrature_error(p: LorentzianParams, max_m: int = 4) -> float:
+    """Largest relative gap, over m = 1..max_m, between the quadrature of
+    tau^m K(tau) and its closed form (-1)^m m! kappa_m.
+
+    The quadrature stops at 80/Gamma: tau^m amplifies the exponential tail,
+    and 40/Gamma truncates at ~2e-2.
+    """
+    # imported here, so that importing spinbath does not load scipy
+    from scipy.integrate import quad
+    kappa = kernel_moments(p, max_m=max_m).kappa
+    worst = 0.0
+    for m in range(1, max_m + 1):
+        num, _ = quad(lambda tau, m=m: tau ** m * lorentzian_kernel_time(tau, p),
+                      0.0, 80.0 / p.gamma_width, limit=800)
+        closed = (-1.0) ** m * math.factorial(m) * kappa[m - 1]
+        worst = max(worst, abs(num - closed) / abs(closed))
+    return worst
 
 
 def psd_expansion(p: LorentzianParams, order: int, omega, temperature: float,

@@ -21,8 +21,8 @@ import numpy as np
 
 # integrate is unused here, but bench/spans.py traces runs under this name
 from .dynamics import IntegratorConfig, integrate, integrate_members
-from .model import (HBAR, KB, SET1, SET2, IntegrationDivergedError,
-                    OhmicParams, ParameterError, UnitFrame)
+from .model import (SET1, SET2, IntegrationDivergedError, OhmicParams,
+                    ParameterError, UnitFrame)
 from .noise import derive_seed
 
 METHOD_TAGS = ("llg-classical", "llg-quantum", "lorentzian-set1",
@@ -87,12 +87,6 @@ def statphys_oracle(n: float, temperature: float, frame: UnitFrame) -> float:
     if temperature == 0.0:
         return 1.0
     return _langevin(n / frame.thermal_ratio(temperature))
-
-
-def equivalent_classical_temperature(frame: UnitFrame) -> float:
-    """Temperature whose white-noise level equals the zero-point noise at
-    the precession frequency: hbar larmor / (2 kB)."""
-    return HBAR * frame.larmor / (2.0 * KB)
 
 
 @dataclass

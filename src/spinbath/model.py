@@ -76,26 +76,6 @@ class UnitFrame:
     def sign_gamma(self) -> float:
         return 1.0 if self.gamma_si > 0 else -1.0
 
-    @property
-    def s0_si(self) -> float:
-        """Spin length in J s."""
-        return self.n_halves * HBAR / 2.0
-
-    def t_si(self, t_unitfree):
-        """Unit-free time (multiples of 1/larmor) to seconds."""
-        return t_unitfree / self.larmor
-
-    def t_unitfree(self, t_seconds):
-        """Seconds to unit-free time."""
-        return t_seconds * self.larmor
-
-    def field_si(self, b_unitfree):
-        """Unit-free field (multiples of |B_ext|) to tesla."""
-        return b_unitfree * self.b_ext_tesla
-
-    def field_unitfree(self, b_tesla):
-        return b_tesla / self.b_ext_tesla
-
     def thermal_ratio(self, temperature: float) -> float:
         """2 kB T / (hbar larmor): thermal over precession energy."""
         if temperature < 0.0:
@@ -112,12 +92,6 @@ class UnitFrame:
         if temperature < 0.0:
             raise ParameterError("temperature must be >= 0")
         return 2.0 * KB * (temperature / self.n_halves) / (HBAR * self.larmor)
-
-    def boltzmann_argument(self, temperature: float) -> float:
-        """n hbar larmor / (2 kB T); +inf at T = 0."""
-        if temperature == 0.0:
-            return math.inf
-        return self.n_halves / self.thermal_ratio(temperature)
 
 
 def build_unit_frame(b_ext_tesla: float, gamma_si: float = GAMMA_ELECTRON,

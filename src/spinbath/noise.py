@@ -148,3 +148,29 @@ def trace_for_run(psd: PowerSpectrum, seed: int, dt: float, n_steps: int,
     return NoiseTrace(components=full.components[:, n_margin:], dt=dt,
                       provenance=full.provenance)
 
+
+def welch_density(trace: NoiseTrace, nperseg: int):
+    """(omega, density): the Welch estimate of a trace's two-sided density
+    in angular frequency, averaged over its components, from Hann segments
+    of nperseg samples overlapping by half."""
+    # imported here, so that importing spinbath does not load scipy
+    from scipy.signal import welch
+    f, pxx = welch(trace.components, fs=1.0 / trace.dt, nperseg=nperseg,
+                   noverlap=nperseg // 2, window="hann", detrend=False, axis=1)
+    # scipy returns a one-sided density per cycle
+    return 2.0 * math.pi * f, pxx.mean(axis=0) / 2.0
+
+
+def banded_psd_error(psd: PowerSpectrum, ws: WhiteSeed, nperseg: int,
+                     band: int) -> float:
+    """Largest relative gap between the Welch density of the trace coloured
+    from ws and the target psd.trace_density, both averaged over bands of
+    `band` frequency bins, over the bands where the target exceeds 5% of
+    its largest band."""
+    omega, est = welch_density(coloured_trace(ws, psd), nperseg)
+    target = psd.trace_density(omega)
+    m = (len(omega) // band) * band
+    eb = est[:m].reshape(-1, band).mean(axis=1)
+    tb = target[:m].reshape(-1, band).mean(axis=1)
+    mask = tb > 0.05 * tb.max()
+    return float(np.max(np.abs(eb[mask] - tb[mask]) / tb[mask]))

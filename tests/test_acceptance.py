@@ -4,22 +4,24 @@ Each test prints a single pass/fail line with the measured values (visible
 with `pytest tests/test_acceptance.py -v -s`).  Tolerances are fixed here,
 not calibrated at runtime.
 
+The measurements behind criteria 6 and 7 are the library functions that
+`spinbath --mode validate` calls too; the sizes and gates here are the
+suite's own.
+
 Criterion 4 is asserted exactly as stated and fails: the measured gaps are
 physical properties of the specified systems, not integration artifacts
-(verified against an independent high-accuracy integrator); see
-notes/decisions.md in the review materials for the analysis.
+(verified against an independent high-accuracy integrator); the README's
+note on criterion 4 gives the analysis.
 """
 
 import math
 import time
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.signal import welch
+from scipy.integrate import simpson
 
-from spinbath.coupling import (fdt_check, kernel_moments, lorentzian_coupling,
-                               lorentzian_kernel_freq, lorentzian_kernel_time,
-                               ohmic_coupling, ohmic_kernel_im_freq,
+from spinbath.coupling import (fdt_residuals, kernel_moments,
+                               lorentzian_kernel_time, moment_quadrature_error,
                                power_spectrum)
 from spinbath.dynamics import integrate
 from spinbath.experiments import (DEFAULT_ETA, DESK_SWEEP_T_MAX, METHOD_TAGS,
@@ -28,7 +30,7 @@ from spinbath.experiments import (DEFAULT_ETA, DESK_SWEEP_T_MAX, METHOD_TAGS,
                                   statphys_oracle)
 from spinbath.model import (OhmicParams, SET1, SET2, SpinSystem,
                             build_unit_frame)
-from spinbath.noise import WhiteSeed, coloured_trace
+from spinbath.noise import WhiteSeed, banded_psd_error
 
 FRAME1 = build_unit_frame(10.0, -1.76e11, 1)
 FRAME200 = build_unit_frame(10.0, -1.76e11, 200)
@@ -150,32 +152,18 @@ def test_criterion_05_embedding_equivalence():
 
 
 def test_criterion_06_fdt_and_kernel_identities():
-    res1 = fdt_check(lambda w: lorentzian_coupling(w, SET1),
-                     lambda w: lorentzian_kernel_freq(w, SET1).imag)
-    res2 = fdt_check(lambda w: lorentzian_coupling(w, SET2),
-                     lambda w: lorentzian_kernel_freq(w, SET2).imag)
-    res3 = fdt_check(lambda w: ohmic_coupling(w, DEFAULT_ETA),
-                     lambda w: ohmic_kernel_im_freq(w, DEFAULT_ETA))
-    worst_q = 0.0
-    for p in (SET1, SET2):
-        mom = kernel_moments(p, max_m=4)
-        for m in range(1, 5):
-            # upper limit 80/Gamma: tau^m amplifies the tail beyond 40/Gamma
-            num, _ = quad(lambda t, m=m: t ** m * lorentzian_kernel_time(t, p),
-                          0.0, 80.0 / p.gamma_width, limit=800)
-            closed = (-1.0) ** m * math.factorial(m) * mom.kappa[m - 1]
-            worst_q = max(worst_q, abs(num - closed) / abs(closed))
+    res = max(fdt_residuals().values())
+    worst_q = max(moment_quadrature_error(p, max_m=4) for p in (SET1, SET2))
     tau1 = kernel_moments(SET1).tau_in
     tau2 = kernel_moments(SET2).tau_in
     # 0.098 is 24/245 in print precision; the 1e-6 gate applies to the exact value
     d1 = abs(tau1 - 24.0 / 245.0)
     d2 = abs(tau2 - 1.745)
-    ok = (max(res1, res2, res3) < 1e-10 and worst_q < 1e-6
-          and d1 < 1e-6 and d2 < 1e-3)
-    _report(6, ok, f"fdt residuals = {max(res1, res2, res3):.1e} (gate 1e-10); "
+    ok = res < 1e-10 and worst_q < 1e-6 and d1 < 1e-6 and d2 < 1e-3
+    _report(6, ok, f"fdt residuals = {res:.1e} (gate 1e-10); "
                    f"moment quadrature rel err = {worst_q:.1e} (gate 1e-6); "
                    f"tau_in = {tau1:.6f}/{tau2:.6f} vs 24/245 and 1.745")
-    assert max(res1, res2, res3) < 1e-10
+    assert res < 1e-10
     assert worst_q < 1e-6
     assert d1 < 1e-6
     assert d2 < 1e-3
@@ -194,18 +182,9 @@ def test_criterion_07_noise_spectral_fidelity():
     details = []
     worst = 0.0
     for i, (name, psd) in enumerate(specs):
-        trace = coloured_trace(WhiteSeed(seed=0xA7 + i, n_samples=2 ** 20, dt=DT), psd)
-        f, pxx = welch(trace.components, fs=1.0 / DT, nperseg=2 ** 14,
-                       noverlap=2 ** 13, window="hann", detrend=False, axis=1)
-        om = 2.0 * math.pi * f
-        est = pxx.mean(axis=0) / 2.0
-        target = psd.trace_density(om)
-        nb = 40  # ~0.1 Larmor-wide comparison bands
-        m = (len(om) // nb) * nb
-        eb = est[:m].reshape(-1, nb).mean(axis=1)
-        tb = target[:m].reshape(-1, nb).mean(axis=1)
-        mask = tb > 0.05 * tb.max()
-        rel = float(np.max(np.abs(eb[mask] - tb[mask]) / tb[mask]))
+        rel = banded_psd_error(
+            psd, WhiteSeed(seed=0xA7 + i, n_samples=2 ** 20, dt=DT),
+            nperseg=2 ** 14, band=40)  # 40 bins: ~0.1 Larmor-wide bands
         worst = max(worst, rel)
         details.append(f"{name}: {rel:.3f}")
     ok = worst < 0.10

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinbath
 from spinbath import cli
 from spinbath.cli import main, parse_config, run, write_csv
 from spinbath.dynamics import integrate, noise_traces
+from spinbath.experiments import METHOD_TAGS
 from spinbath.model import ConfigurationError, SpinSystem
 
 BASE = """
@@ -286,9 +291,43 @@ methods = lorentzian-set1
                            "T = 1 K\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("key", ["run.workers", "--workers"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, key, workers):
+        ini = tmp_path / "w.ini"
+        args = ["--config", str(ini), "--out", str(tmp_path)]
+        if key == "--workers":
+            ini.write_text(BASE)
+            args += [key, workers]
+        else:
+            ini.write_text(BASE + f"\nworkers = {workers}\n")
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be >= 1\n"
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_validate_mode_passes_on_defaults(self, capsys):
         assert main(["--mode", "validate"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-        assert "fdt-identity-set1" in out
-        assert "norm-conservation-lorentzian-set2" in out
+        lines = capsys.readouterr().out.splitlines()
+        names = (["fdt-identity-set1", "fdt-identity-set2", "fdt-identity-ohmic",
+                  "kernel-moments-set1", "kernel-moments-set2",
+                  "noise-psd-classical-ohmic", "noise-psd-quantum-ohmic",
+                  "noise-psd-quantum-lorentzian",
+                  "noise-psd-quantum-lorentzian-set2"]
+                 + [f"norm-conservation-{m}" for m in METHOD_TAGS]
+                 + ["determinism", "ohmic-limit-set2"])
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS", name] for name in names]
+        assert lines[-1] == "OK: all checks passed"
+
+
+def test_import_loads_no_scipy():
+    # scipy.signal is slow to import; the CLI's start-up must not pay for it
+    code = ("import sys, spinbath, spinbath.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = [str(Path(spinbath.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+                         ).stdout
+    assert out == "[]\n"

@@ -9,12 +9,10 @@ from spinbath.dynamics import integrate
 from spinbath.experiments import (DEFAULT_ETA, METHOD_TAGS,
                                   STEADY_BLOCK_LENGTH, STEADY_WINDOW_FRACTION,
                                   averaged_steady_state, ensemble_average,
-                                  equilibration_time,
-                                  equivalent_classical_temperature,
-                                  method_config, statphys_oracle,
-                                  temperature_sweep)
-from spinbath.model import (IntegrationDivergedError, ParameterError, SET1,
-                            SpinSystem, build_unit_frame)
+                                  equilibration_time, method_config,
+                                  statphys_oracle, temperature_sweep)
+from spinbath.model import (HBAR, KB, IntegrationDivergedError,
+                            ParameterError, SET1, SpinSystem, build_unit_frame)
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
 FRAME200 = build_unit_frame(10.0, -1.76e11, 200)
@@ -25,7 +23,10 @@ class TestStatphysOracle:
         assert statphys_oracle(1, 0.0, FRAME) == 1.0
 
     def test_at_equivalent_classical_temperature(self):
-        t_cl = equivalent_classical_temperature(FRAME)
+        # T_cl: the white-noise level equals the zero-point noise at the
+        # precession frequency, about 6.7 K at 10 T
+        t_cl = HBAR * FRAME.larmor / (2.0 * KB)
+        assert t_cl == pytest.approx(6.7, abs=0.1)
         # argument becomes exactly n at T_cl
         assert statphys_oracle(1, t_cl, FRAME) == pytest.approx(
             1.0 / math.tanh(1.0) - 1.0, rel=1e-9)
@@ -41,20 +42,9 @@ class TestStatphysOracle:
         assert all(0.0 < v <= 1.0 for v in vals)
 
     def test_small_argument_series(self):
+        # L(x) ~ x/3 for the argument x = n / thermal_ratio
         assert statphys_oracle(1, 1e9, FRAME) == pytest.approx(
-            FRAME.boltzmann_argument(1e9) / 3.0, rel=1e-6)
-
-
-class TestEquivalentClassicalTemperature:
-    def test_ten_tesla_value(self):
-        assert equivalent_classical_temperature(FRAME) == pytest.approx(6.7, abs=0.1)
-
-    def test_linear_in_field(self):
-        t10 = equivalent_classical_temperature(FRAME)
-        t20 = equivalent_classical_temperature(build_unit_frame(20.0, -1.76e11, 1))
-        t1 = equivalent_classical_temperature(build_unit_frame(1.0, -1.76e11, 1))
-        assert t20 == pytest.approx(2 * t10, rel=1e-12)
-        assert t1 == pytest.approx(t10 / 10, rel=1e-12)
+            1.0 / (3.0 * FRAME.thermal_ratio(1e9)), rel=1e-6)
 
 
 class TestEnsembleAverage:

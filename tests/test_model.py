@@ -17,13 +17,16 @@ class TestUnitFrame:
         frame = build_unit_frame(10.0, -1.76e11, 1)
         assert frame.larmor == pytest.approx(1.76e12)
         # inverse Larmor time ~ 0.57 ps
-        assert frame.t_si(1.0) == pytest.approx(0.57e-12, rel=0.01)
+        assert 1.0 / frame.larmor == pytest.approx(0.57e-12, rel=0.01)
 
     def test_larmor_independent_of_spin_length(self):
         a = build_unit_frame(10.0, -1.76e11, 1)
         b = build_unit_frame(10.0, -1.76e11, 200)
         assert a.larmor == b.larmor
-        assert b.s0_si == pytest.approx(200 * a.s0_si)
+        assert a.thermal_ratio(5.0) == b.thermal_ratio(5.0)
+        # the spin length enters per half-spin: 200 halves divide it by 200
+        assert b.thermal_ratio_per_halfspin(5.0) == pytest.approx(
+            a.thermal_ratio(5.0) / 200)
 
     def test_larmor_linear_in_field(self):
         assert build_unit_frame(1.0, -1.76e11, 1).larmor == pytest.approx(1.76e11)
@@ -41,14 +44,6 @@ class TestUnitFrame:
         kwargs.update(bad)
         with pytest.raises(ParameterError):
             build_unit_frame(**kwargs)
-
-    @given(b=st.floats(1e-3, 1e3), g=st.floats(1e9, 1e13),
-           t=st.floats(1e-6, 1e6))
-    @settings(max_examples=200, deadline=None)
-    def test_time_roundtrip(self, b, g, t):
-        frame = build_unit_frame(b, -g, 1)
-        assert frame.t_unitfree(frame.t_si(t)) == pytest.approx(t, rel=1e-12)
-        assert frame.field_unitfree(frame.field_si(t)) == pytest.approx(t, rel=1e-12)
 
     def test_thermal_ratio_collapses_on_t_over_n(self):
         a = build_unit_frame(10.0, -1.76e11, 1)

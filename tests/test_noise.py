@@ -3,13 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.signal import welch
 
 from spinbath.coupling import power_spectrum
 from spinbath.model import OhmicParams, ParameterError, SET1, SET2, build_unit_frame
 from spinbath.noise import (WhiteSeed, colour, coloured_trace,
                             derive_seed, site_seed, trace_for_run,
-                            white_gaussian)
+                            welch_density, white_gaussian)
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
 ETA = SET1.eta_equivalent
@@ -38,14 +37,6 @@ SPECTRA = [("classical-ohmic", OhmicParams(ETA), 200.0, None),
            ("quantum-lorentzian", SET1, 1.0, None),
            ("quantum-lorentzian", SET2, 0.0, None),
            ("classical-lorentzian", SET2, 5.0, None)]
-
-
-def welch_density(trace, nperseg=2 ** 13):
-    f, pxx = welch(trace.components, fs=1.0 / trace.dt, nperseg=nperseg,
-                   noverlap=nperseg // 2, window="hann", detrend=False, axis=1)
-    # scipy returns a one-sided density per cycle; convert to the two-sided
-    # angular-frequency convention used by the spectra
-    return 2.0 * math.pi * f, pxx.mean(axis=0) / 2.0
 
 
 class TestWhiteGaussian:
