@@ -49,7 +49,7 @@ def main():
         for m in METHOD_TAGS:
             names += [f"{m}_mean", f"{m}_err"]
             cols += [curves[m].sz_mean.tolist(), curves[m].sz_stderr.tolist()]
-        write_csv(path, meta, ",".join(names), zip(*cols))
+        write_csv(path, meta, ",".join(names), [cols])
         print(f"wrote {path}")
 
 

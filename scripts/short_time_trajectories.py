@@ -46,7 +46,7 @@ def main():
         meta = [f"spin_halves={n_halves} temperature={temp} "
                 f"seed={args.seed} dt={args.dt} t_max={args.t_max}"]
         write_csv(path, meta, ",".join(["t"] + names),
-                  zip(times.tolist(), *(columns[c].tolist() for c in names)))
+                  [(times, *(columns[c] for c in names))])
         print(f"wrote {path}")
 
 

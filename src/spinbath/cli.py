@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,41 +202,42 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def write_csv(path: Path, metadata: list[str], header: str, rows) -> None:
+def write_csv(path: Path, metadata: list[str], header: str, blocks) -> None:
     """Write '# '-prefixed metadata lines, the header, then the rows.
 
-    rows is any iterable of tuples of floats or small ints, one per line,
-    consumed as it is written; every cell is formatted '%.17g', which for
-    an int below 1e17 is str(n).
+    blocks is an iterable of column blocks, each a sequence of equal-length
+    1-d columns of numbers, written block after block.  Every cell is
+    formatted '%.17g', which for an integer below 2**53 is str(n).  Rows are
+    formatted CHUNK_ROWS at a time, by one % on the row format repeated
+    over the chunk.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fmt = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in metadata)
         fh.write(header + "\n")
-        fh.writelines(map(fmt.__mod__, rows))
+        for columns in blocks:
+            for start in range(0, len(columns[0]), CHUNK_ROWS):
+                chunk = np.column_stack(
+                    [c[start:start + CHUNK_ROWS] for c in columns])
+                fh.write((fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-# Rows handed to write_csv are converted to Python numbers this many at a
-# time, so a long run never holds its whole table as Python objects: the six
-# columns of a 301,593-step trajectory took about 48 MB as lists.  Writing
-# that trajectory and its noise dump (2 cores, local disk, four runs each)
-# took 2.16-2.85 s with whole columns and 2.26-2.48 s at 4,096 rows; 256 and
-# 65,536 rows fell in the same spread.  A chunk of 4,096 rows holds under 1 MB.
+# write_csv converts and formats rows this many at a time, so a long run
+# never holds its whole table as Python objects: the six columns of a
+# 301,593-step trajectory took about 48 MB as lists.  With one tuple and one
+# % per row, writing that trajectory and its noise dump (2 cores, local disk,
+# four runs each) took 2.16-2.85 s with whole columns and 2.26-2.48 s at
+# 4,096 rows; 256 and 65,536 rows fell in the same spread.  One % per chunk
+# cut the traced CLI self time of that run from 2.51-2.64 s to 2.12-2.14 s
+# (two runs each).  A chunk of 4,096 rows holds about 1 MB.
 CHUNK_ROWS = 4096
 
 
-def _column_rows(*columns):
-    """Rows of equal-length 1-d arrays as tuples of Python numbers, converted
-    CHUNK_ROWS rows at a time, for write_csv."""
-    n = len(columns[0])
-    for start in range(0, n, CHUNK_ROWS):
-        yield from zip(*(c[start:start + CHUNK_ROWS].tolist() for c in columns))
-
-
-def sweep_table(temperatures, frame: UnitFrame, results) -> tuple[str, zip]:
-    """Header and rows of a temperature sweep: temperature, the classical
-    oracle, then per method s_z, its error and, if attached, m(T)."""
+def sweep_table(temperatures, frame: UnitFrame, results) -> tuple[str, list]:
+    """Header and the one column block of a temperature sweep: temperature,
+    the classical oracle, then per method s_z, its error and, if attached,
+    m(T)."""
     temps = [float(t) for t in temperatures]
     names = ["temperature", "oracle"]
     cols = [temps, [statphys_oracle(frame.n_halves, t, frame) for t in temps]]
@@ -247,7 +247,7 @@ def sweep_table(temperatures, frame: UnitFrame, results) -> tuple[str, zip]:
         if r.rescaled is not None:
             names.append(f"{r.method}_m")
             cols.append(r.rescaled.tolist())
-    return ",".join(names), zip(*cols)
+    return ",".join(names), [cols]
 
 
 def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> Path:
@@ -258,18 +258,16 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> Path:
     path = Path(cfg.out_path) if cfg.out_path else out_dir / "trajectory.csv"
     ds = cfg.downsample
     times = traj.times[::ds]
-    rows = itertools.chain.from_iterable(
-        _column_rows(times, np.broadcast_to(site, times.shape),
-                     *spins[::ds].T, norms[::ds])
-        for site, (spins, norms) in enumerate(zip(traj.spins, traj.norms)))
-    write_csv(path, cfg.metadata(), "t,site,s_x,s_y,s_z,norm", rows)
+    blocks = ((times, np.broadcast_to(site, times.shape), *spins[::ds].T,
+               norms[::ds])
+              for site, (spins, norms) in enumerate(zip(traj.spins, traj.norms)))
+    write_csv(path, cfg.metadata(), "t,site,s_x,s_y,s_z,norm", blocks)
     if cfg.dump_noise and traces is not None:
         for site, tr in enumerate(traces):
             write_csv(path.with_suffix(f".noise{site}.csv"),
                       [f"dt={tr.dt!r}", f"provenance={tr.provenance[1]}"],
                       "t,b_x,b_y,b_z",
-                      _column_rows(np.arange(tr.n_samples) * tr.dt,
-                                   *tr.components))
+                      [(np.arange(tr.n_samples) * tr.dt, *tr.components)])
     return path
 
 
@@ -281,7 +279,7 @@ def _run_ensemble(cfg: ExperimentConfig, out_dir: Path) -> Path:
     meta = cfg.metadata() + [f"n_used={res.n_used}",
                              f"n_diverged={len(res.diverged)}"]
     write_csv(path, meta, "t,sz_mean,sz_stderr",
-              _column_rows(res.times, res.sz_mean, res.sz_stderr))
+              [(res.times, res.sz_mean, res.sz_stderr)])
     return path
 
 

@@ -210,12 +210,13 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
     s = (sx, sy, sz) lanes; noise = (bx, by, bz), each indexable by grid
     point 0..n_steps and giving lanes (or floats, shared by every lane);
     e = b_ext_dir.  sinks = (x, y, z, norm) receive the initial state and
-    the state after every step.  Uncoupled, it never yields: one
-    next(gen, None) runs it.  Coupled, it yields the spin (x, y, z) of each
-    RK stage: the spin s at the start of the step, then s rotated by
-    h/2 o1, h/2 o2 and h o3, o_k being the rate of stage k.  Each yield must
-    be sent back the exchange field (jx, jy, jz) at that spin, which joins
-    the stage's bath field.  It returns after the last step's fourth stage.
+    the state after every step, called in that order.  Uncoupled, it never
+    yields: one next(gen, None) runs it.  Coupled, it yields the spin
+    (x, y, z) of each RK stage: the spin s at the start of the step, then s
+    rotated by h/2 o1, h/2 o2 and h o3, o_k being the rate of stage k.  Each
+    yield must be sent back the exchange field (jx, jy, jz) at that spin,
+    which joins the stage's bath field.  It returns after the last step's
+    fourth stage.
     """
     sx, sy, sz = s
     ex, ey, ez = e
@@ -511,6 +512,9 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
     internally generated noise (one NoiseTrace per site), which is how
     shared-noise comparisons across methods are run.  Each site runs as its
     own float-lane kernel; sites coupled by exchange step in lockstep.
+    Spins and V are recorded in the (n_steps+1, 3) layout they are returned
+    in: a single site's arrays wrap the recording buffers without a copy,
+    and several sites are stacked once.
     """
     n_steps = cfg.n_steps
     n_sites = sys.n_sites
@@ -529,11 +533,15 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
 
     e = sys.b_ext_dir.tolist()
     s, v, w = (a.tolist() for a in (sys.spins, sys.aux_v, sys.aux_w))
-    channels = [[array("d") for _ in range(7)] for _ in range(n_sites)]
+    # per site, three buffers: the spin, |s| and V.  One append is the x, y
+    # and z sink of the spin (and of V); the kernel calls them in that order
+    # every step, so the buffer reads as (n_steps+1, 3) row-major.
+    records = [(array("d"), array("d"), array("d")) for _ in range(n_sites)]
     kernels = [_kernel(cfg, s[k], v[k], w[k],
                        _site_noise(traces and traces[k], n_steps), e,
-                       FLOAT_LANES, [c.append for c in rec], bool(sys.exchange))
-               for k, rec in enumerate(channels)]
+                       FLOAT_LANES, [xyz.append] * 3 + [nrm.append]
+                       + [vs.append] * 3, bool(sys.exchange))
+               for k, (xyz, nrm, vs) in enumerate(records)]
     if sys.exchange:
         with np.errstate(all="ignore"):  # a blown-up site's inf meets matmul
             _lockstep(kernels, sys)
@@ -541,18 +549,21 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
         for gen in kernels:
             next(gen, None)
 
-    spins = np.empty((n_sites, n_steps + 1, 3))
-    norms = np.empty((n_sites, n_steps + 1))
-    lorentzian = isinstance(cfg.bath, LorentzianParams)
-    aux_v = np.empty_like(spins) if lorentzian else None
-    for k, rec in enumerate(channels):
-        for j in range(3):
-            spins[k, :, j] = rec[j]
-            if lorentzian:
-                aux_v[k, :, j] = rec[4 + j]
-        norms[k] = rec[3]
-    return Trajectory(times=np.arange(n_steps + 1) * cfg.dt, spins=spins,
-                      norms=norms, aux_v=aux_v)
+    rows = n_steps + 1
+    spins = _site_stack([xyz for xyz, _, _ in records], (rows, 3))
+    norms = _site_stack([nrm for _, nrm, _ in records], (rows,))
+    aux_v = (_site_stack([vs for _, _, vs in records], (rows, 3))
+             if isinstance(cfg.bath, LorentzianParams) else None)
+    times = np.arange(rows, dtype=float)  # in place: no int64 temporary
+    times *= cfg.dt
+    return Trajectory(times=times, spins=spins, norms=norms, aux_v=aux_v)
+
+
+def _site_stack(bufs, shape):
+    """(n_sites, *shape) array of one recorded channel, from one buffer per
+    site: a view of the buffer of a single site, one stacked copy of several."""
+    arrays = [np.frombuffer(b).reshape(shape) for b in bufs]
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):

@@ -118,8 +118,11 @@ def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
 
 def _pmap(job, items, workers: int):
     """job(*args) for each of items, yielded in order as the caller consumes
-    them; over a process pool, open until the last result, if workers > 1."""
-    if workers <= 1:
+    them; over a process pool, open until the last result, if workers > 1.
+    workers below 1 raise ParameterError before any job runs."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
         yield from (job(*args) for args in items)
         return
     from concurrent.futures import ProcessPoolExecutor

@@ -56,6 +56,21 @@ class WhiteSeed:
             raise ParameterError("dt must be positive")
 
 
+def _white_rows(ws: WhiteSeed, out: np.ndarray):
+    """Draw the white samples of ws into the three rows of out, one row at a
+    time from one generator, yielding each row once it is drawn.
+
+    Three standard_normal(n) draws equal one standard_normal((3, n)) draw
+    bit for bit, so the rows are those of the whole (3, n) block.
+    """
+    rng = np.random.Generator(np.random.Philox(key=ws.seed & _MASK64))
+    scale = math.sqrt(ws.dt)
+    for row in out:
+        rng.standard_normal(out=row)
+        row /= scale
+        yield row
+
+
 def white_gaussian(ws: WhiteSeed) -> np.ndarray:
     """3 x n i.i.d. Gaussian samples with variance 1/dt per sample.
 
@@ -63,9 +78,9 @@ def white_gaussian(ws: WhiteSeed) -> np.ndarray:
     ziggurat normal sampler; the contract across platforms is statistical
     equivalence, with bit reproducibility only for a fixed numpy install.
     """
-    rng = np.random.Generator(np.random.Philox(key=ws.seed & _MASK64))
-    xi = rng.standard_normal((3, ws.n_samples))
-    xi /= math.sqrt(ws.dt)
+    xi = np.empty((3, ws.n_samples))
+    for _ in _white_rows(ws, xi):
+        pass
     return xi
 
 
@@ -93,19 +108,33 @@ def colour(white: np.ndarray, psd: PowerSpectrum, dt: float,
 
     Implements component-wise circular convolution as
     ifft(sqrt(density(omega_k)) * fft(xi)); the filter is even in omega, so
-    Hermitian symmetry keeps the output real.  The components are coloured
-    one at a time in one reused complex buffer, so besides the (3, n) result
-    only that row and the filter are held.
+    Hermitian symmetry keeps the output real.  The density is evaluated on
+    the non-negative half of the frequency grid only and mirrored onto the
+    negative half, which is exact: every density depends on |omega| or
+    omega^2 alone.  The components are coloured one at a time in one reused
+    complex buffer, so besides white and the (3, n) result only that row
+    and the half filter are held.
     """
     xi = np.asarray(white, dtype=float)
     if xi.ndim != 2 or xi.shape[0] != 3 or xi.shape[1] < 2:
         raise ParameterError("white must have shape (3, n) with n >= 2")
-    n = xi.shape[1]
-    density = np.asarray(
-        psd.trace_density(2.0 * math.pi * np.fft.fftfreq(n, d=dt)), dtype=float)
-    if np.any(density < 0.0) or not np.all(np.isfinite(density)):
+    return _colour(lambda components: xi, xi.shape[1], psd, dt, seed)
+
+
+def _colour(white_rows, n: int, psd: PowerSpectrum, dt: float,
+            seed: WhiteSeed | None) -> NoiseTrace:
+    """colour's body: white_rows(components) gives the three white rows,
+    each consumed before the next is asked for, so they may be drawn into
+    the rows of the result itself."""
+    # rfftfreq gives |fftfreq| at k = 0..n//2 bit for bit
+    half = np.asarray(psd.trace_density(
+        2.0 * math.pi * np.fft.rfftfreq(n, d=dt)), dtype=float)
+    if np.any(half < 0.0) or not np.all(np.isfinite(half)):
         raise RuntimeError("spectral density must be finite and non-negative")
-    amp = np.sqrt(density, out=density)
+    np.sqrt(half, out=half)
+    h = len(half)
+    # bin n - k carries frequency -omega_k: bins h..n-1 take half[n-h..1]
+    mirror = half[n - h:0:-1]
     # the row buffer comes before the result, so that once freed its block
     # is reused by the next trace instead of raising the heap: the chain
     # workload's peak RSS read 41.1 MB this way and 41.4-41.5 MB the other
@@ -113,13 +142,15 @@ def colour(white: np.ndarray, psd: PowerSpectrum, dt: float,
     components = np.empty((3, n))
     max_imag = 0.0
     # np.fft takes out= from numpy 2.0 on, hence pyproject's numpy>=2.0
-    for row, x in zip(components, xi):
+    for row, x in zip(components, white_rows(components)):
         spec[:] = x
         np.fft.fft(spec, out=spec)
-        spec *= amp
+        spec[:h] *= half
+        spec[h:] *= mirror
         np.fft.ifft(spec, out=spec)
         row[:] = spec.real
-        max_imag = max(max_imag, float(np.max(np.abs(spec.imag))))
+        max_imag = max(max_imag, float(spec.imag.max()),
+                       -float(spec.imag.min()))
     # einsum sums the squares without a temporary or a BLAS thread pool
     rms = math.sqrt(float(np.einsum("ij,ij", components, components))
                     / components.size)
@@ -130,8 +161,14 @@ def colour(white: np.ndarray, psd: PowerSpectrum, dt: float,
 
 
 def coloured_trace(ws: WhiteSeed, psd: PowerSpectrum) -> NoiseTrace:
-    """Generate the white block for `ws` and colour it with `psd`."""
-    return colour(white_gaussian(ws), psd, ws.dt, seed=ws)
+    """The white samples of `ws` coloured with `psd`, bit-identical to
+    colour(white_gaussian(ws), psd, ws.dt, seed=ws).
+
+    Each white row is drawn into its row of the result just before that row
+    is coloured, so no (3, n) white block is held beside the result.
+    """
+    return _colour(lambda components: _white_rows(ws, components),
+                   ws.n_samples, psd, ws.dt, ws)
 
 
 def trace_for_run(psd: PowerSpectrum, seed: int, dt: float, n_steps: int,

@@ -50,8 +50,8 @@ def split_csv(path: Path):
 class TestWriteCsv:
     def test_one_format_for_every_cell(self, tmp_path):
         path = tmp_path / "sub" / "w.csv"
-        rows = ((x, n) for x, n in [(0.1, 3), (1e-300, 0), (-2.0, 12)])
-        write_csv(path, ["a=1", "b='x'"], "x,n", rows)
+        write_csv(path, ["a=1", "b='x'"], "x,n",
+                  [([0.1, 1e-300, -2.0], [3, 0, 12])])
         assert path.read_text() == ("# a=1\n# b='x'\nx,n\n"
                                     "0.10000000000000001,3\n"
                                     "1e-300,0\n-2,12\n")

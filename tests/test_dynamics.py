@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,26 @@ class TestIntegratorPlumbing:
         assert np.array_equal(traj.spins[1], b.spins[0])
         assert np.array_equal(traj.norms, np.concatenate([a.norms, b.norms]))
         assert np.array_equal(traj.aux_v, np.concatenate([a.aux_v, b.aux_v]))
+
+    # Peak bytes allocated per step by integrate, tracemalloc, numpy 2.4.6,
+    # 4,000 steps, noise generated beforehand: 90.9 (llg-quantum) and 140.5
+    # (lorentzian-set2) recording one buffer per channel and copying them
+    # into fresh arrays; now 41.8 and 66.2, recording the spin (and V)
+    # interleaved and wrapping the buffers.  Per step the spin holds 24, |s|
+    # 8, V 24 and the times 8, plus the buffers' growth slack.
+    @pytest.mark.parametrize("method,gate", [("llg-quantum", 45.0),
+                                             ("lorentzian-set2", 70.0)])
+    def test_peak_memory_per_step(self, method, gate):
+        cfg = method_config(method, FRAME, 1.0, t_max=600.0)
+        traces = dynamics.noise_traces(cfg, 3, 1)
+        tracemalloc.start()
+        try:
+            traj = integrate(SpinSystem.single((-1, 0, 0)), cfg, traces=traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.spins.shape == (1, cfg.n_steps + 1, 3)
+        assert peak / (cfg.n_steps + 1) < gate
 
     def test_exchange_coupled_pair_conserves_norms(self):
         sys = SpinSystem(spins=np.array([[0.6, 0, 0.8], [-1.0, 0, 0]]),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import weakref
 
@@ -16,6 +17,14 @@ from spinbath.model import (HBAR, KB, IntegrationDivergedError,
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
 FRAME200 = build_unit_frame(10.0, -1.76e11, 200)
+
+
+def forbid_runs(monkeypatch):
+    """Make running a member or starting a process pool fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a member ran or a process started")
+    monkeypatch.setattr(experiments, "integrate_members", forbidden)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
 
 
 class TestStatphysOracle:
@@ -73,6 +82,13 @@ class TestEnsembleAverage:
         a = ensemble_average(cfg, 6, base_seed=3, workers=1)
         b = ensemble_average(cfg, 6, base_seed=3, workers=2)
         assert np.array_equal(a.sz_mean, b.sz_mean)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        forbid_runs(monkeypatch)
+        cfg = method_config("llg-classical", FRAME, 10.0, t_max=30.0)
+        with pytest.raises(ParameterError, match="workers"):
+            ensemble_average(cfg, 2, workers=workers)
 
     def test_batches_follow_budget_and_workers(self):
         batches = experiments._ensemble_batches
@@ -319,6 +335,12 @@ class TestTemperatureSweep:
             assert np.array_equal(a.sz_mean, b.sz_mean)
             assert np.array_equal(a.sz_stderr, b.sz_stderr)
             assert np.array_equal(a.rescaled, b.rescaled)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        forbid_runs(monkeypatch)
+        with pytest.raises(ParameterError, match="workers"):
+            temperature_sweep(["llg-classical"], [1.0], FRAME, workers=workers)
 
     def test_unsorted_or_negative_grids_rejected(self):
         with pytest.raises(ParameterError):

@@ -49,6 +49,15 @@ class TestWhiteGaussian:
         ws = WhiteSeed(seed=123456789, n_samples=4096, dt=DT)
         assert np.array_equal(white_gaussian(ws), white_gaussian(ws))
 
+    def test_rows_equal_one_whole_block_draw(self):
+        # the rows are drawn one at a time, which must give the samples of
+        # one standard_normal((3, n)) draw from the same generator
+        ws = WhiteSeed(seed=99, n_samples=4099, dt=DT)
+        rng = np.random.Generator(np.random.Philox(key=ws.seed))
+        block = rng.standard_normal((3, ws.n_samples))
+        block /= math.sqrt(DT)
+        assert np.array_equal(white_gaussian(ws), block)
+
     def test_distinct_seeds_decorrelated(self):
         a = white_gaussian(WhiteSeed(seed=1, n_samples=65536, dt=DT))
         b = white_gaussian(WhiteSeed(seed=2, n_samples=65536, dt=DT))
@@ -129,39 +138,53 @@ class TestColour:
         trace = coloured_trace(WhiteSeed(seed=71, n_samples=4096, dt=DT), psd)
         assert np.all(trace.components == 0.0)
 
-    @pytest.mark.parametrize("n", [2 ** 12, 4099])  # 4099 is prime: Bluestein
+    # n = 2 and 3 are the shortest traces; at every even n here the Nyquist
+    # bin lies inside the pi/DT cutoff, and 4099 is prime (Bluestein)
+    @pytest.mark.parametrize("n", [2, 3, 10, 2 ** 12, 4099])
     @pytest.mark.parametrize("kind,params,temp,cutoff", SPECTRA)
     def test_bitwise_equal_to_whole_array_colouring(self, kind, params, temp,
                                                     cutoff, n):
         psd = power_spectrum(kind, params, temp, FRAME, cutoff=cutoff)
-        white = white_gaussian(WhiteSeed(seed=13, n_samples=n, dt=DT))
+        ws = WhiteSeed(seed=13, n_samples=n, dt=DT)
+        white = white_gaussian(ws)
+        want = colour_reference(white, psd, DT).tobytes()
         got = colour(white, psd, DT).components
         assert got.flags.c_contiguous and got.shape == (3, n)
-        assert got.tobytes() == colour_reference(white, psd, DT).tobytes()
+        assert got.tobytes() == want
+        # coloured_trace draws the white rows into the result one by one
+        assert coloured_trace(ws, psd).components.tobytes() == want
 
-    # Peak bytes allocated by colour per sample, tracemalloc, numpy 2.4.6:
+    # Peak bytes allocated per sample, tracemalloc, numpy 2.4.6, for
     # quantum-ohmic (cutoff 10) at n = 301,661 and quantum-lorentzian at
-    # n = 2,279 read 120.4 and 184.8 colouring all three rows at once, and
-    # 59.0 and 67.5 one row at a time.  The result holds 24, one complex row
-    # 16 and the filter 8; the peak is the spectrum's own evaluation.  One
-    # complex (3, n) temporary alone is 48, so the gate sits below that plus
-    # the result.  tracemalloc counts numpy's array allocations only, not
-    # pocketfft's internal scratch (Bluestein buffers), so this gate cannot
-    # catch growth there; the benchmark's peak RSS covers that.
-    @pytest.mark.parametrize("kind,params,cutoff,n", [
-        ("quantum-ohmic", OhmicParams(ETA), 10.0, 301_661),
-        ("quantum-lorentzian", SET2, None, 2_279)])
-    def test_peak_memory_per_sample(self, kind, params, cutoff, n):
+    # n = 2,279.  colour: 120.4 and 184.8 colouring all three rows at once,
+    # 59.0 and 67.5 one row at a time over the whole frequency grid, now
+    # 44.9 and 52.5 with the filter on the half grid.  coloured_trace: 83.0
+    # and 91.6 with the (3, n) white block beside the result, now 44.4 and
+    # 52.9 with each white row drawn into its row of the result.  The result
+    # holds 24, the complex row 16 and the half filter 4; the shorter trace
+    # pays more for fixed costs.  tracemalloc counts numpy's array
+    # allocations only, not pocketfft's internal scratch (Bluestein
+    # buffers), so these gates cannot catch growth there; the benchmark's
+    # peak RSS covers that.
+    @pytest.mark.parametrize("kind,params,cutoff,n,gate", [
+        ("quantum-ohmic", OhmicParams(ETA), 10.0, 301_661, 46.0),
+        ("quantum-lorentzian", SET2, None, 2_279, 54.0)])
+    @pytest.mark.parametrize("whole_white", [True, False],
+                             ids=["colour", "coloured_trace"])
+    def test_peak_memory_per_sample(self, kind, params, cutoff, n, gate,
+                                    whole_white):
         psd = power_spectrum(kind, params, 1.0, FRAME, cutoff=cutoff)
-        white = white_gaussian(WhiteSeed(seed=17, n_samples=n, dt=DT))
+        ws = WhiteSeed(seed=17, n_samples=n, dt=DT)
+        white = white_gaussian(ws) if whole_white else None
         tracemalloc.start()
         try:
-            trace = colour(white, psd, DT)
+            trace = (colour(white, psd, DT) if whole_white
+                     else coloured_trace(ws, psd))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert trace.n_samples == n
-        assert peak / n < 72.0
+        assert peak / n < gate
 
     def test_bad_shapes_rejected(self):
         psd = power_spectrum("classical-ohmic", OhmicParams(ETA), 200.0, FRAME)
