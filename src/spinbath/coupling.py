@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SET1, SET2, ConfigurationError, LorentzianParams,
-                    OhmicParams, ParameterError, UnitFrame)
+                    OhmicParams, ParameterError, UnitFrame, require_finite)
 
 SPECTRUM_KINDS = (
     "classical-ohmic",
@@ -185,6 +185,7 @@ def power_spectrum(kind: str, params, temperature: float, frame: UnitFrame,
     """Build a validated PowerSpectrum of the given kind."""
     if kind not in SPECTRUM_KINDS:
         raise ConfigurationError(f"unknown spectrum kind {kind!r}")
+    require_finite(temperature=temperature, cutoff=cutoff)
     if temperature < 0.0:
         raise ParameterError("temperature must be >= 0")
     if kind.endswith("ohmic") and not isinstance(params, OhmicParams):
@@ -200,11 +201,10 @@ def power_spectrum(kind: str, params, temperature: float, frame: UnitFrame,
                          frame=frame, cutoff=cutoff)
 
 
-def fdt_check(coupling_fn, kernel_im_fn, omega=None) -> float:
-    """Max residual of c(omega)^2 == (2 omega / pi) * Im k(omega) on a grid."""
-    if omega is None:
-        omega = np.linspace(0.0, 20.0, 4001)
-    om = np.asarray(omega, dtype=float)
+def fdt_check(coupling_fn, kernel_im_fn) -> float:
+    """Max residual of c(omega)^2 == (2 omega / pi) * Im k(omega) on a grid
+    of 4001 points over [0, 20]."""
+    om = np.linspace(0.0, 20.0, 4001)
     c = np.asarray(coupling_fn(om), dtype=float)
     im_k = np.asarray(kernel_im_fn(om), dtype=float)
     return float(np.max(np.abs(c ** 2 - (2.0 * om / math.pi) * im_k)))

@@ -37,7 +37,7 @@ import numpy as np
 from .coupling import DEFAULT_CUTOFF, PowerSpectrum, power_spectrum
 from .model import (BathParams, ConfigurationError, IntegrationDivergedError,
                     LorentzianParams, OhmicParams, ParameterError, SpinSystem,
-                    UnitFrame)
+                    UnitFrame, require_finite)
 from .noise import site_seed, trace_for_run
 
 OHMIC_NOISE_KINDS = ("classical-ohmic", "quantum-ohmic")
@@ -58,6 +58,9 @@ class IntegratorConfig:
     noise_margin: float | None = None
 
     def __post_init__(self):
+        require_finite(dt=self.dt, t_max=self.t_max,
+                       temperature=self.temperature, cutoff=self.cutoff,
+                       noise_margin=self.noise_margin)
         if not self.dt > 0.0:
             raise ParameterError("dt must be positive")
         if self.t_max < self.dt:

@@ -41,6 +41,15 @@ class IntegrationDivergedError(RuntimeError):
         return type(self), (self.step, str(self))
 
 
+def require_finite(**values) -> None:
+    """Raise ParameterError naming the first value that is not finite
+    (NaN or infinite, in any entry of an array); None is skipped."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            shown = np.asarray(value, dtype=float).tolist()
+            raise ParameterError(f"{name} must be finite, got {shown}")
+
+
 @dataclass(frozen=True)
 class UnitFrame:
     """Conversion context between SI and unit-free quantities.
@@ -60,6 +69,7 @@ class UnitFrame:
     n_halves: int = 1
 
     def __post_init__(self):
+        require_finite(b_ext_tesla=self.b_ext_tesla, gamma_si=self.gamma_si)
         if not self.b_ext_tesla > 0.0:
             raise ParameterError("b_ext_tesla must be positive")
         if self.gamma_si == 0.0:
@@ -110,6 +120,7 @@ class OhmicParams:
     eta: float
 
     def __post_init__(self):
+        require_finite(eta=self.eta)
         if self.eta < 0.0:
             raise ParameterError("eta must be >= 0")
 
@@ -133,6 +144,8 @@ class LorentzianParams:
     alpha: float
 
     def __post_init__(self):
+        require_finite(omega0=self.omega0, gamma_width=self.gamma_width,
+                       alpha=self.alpha)
         if not self.omega0 > 0.0:
             raise ParameterError("omega0 must be positive")
         if not self.gamma_width > 0.0:
@@ -195,6 +208,7 @@ def symmetrize_exchange(raw: dict) -> dict:
 
 def _unit(vec, what: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float).reshape(3)
+    require_finite(**{what: v})
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ParameterError(f"{what} must be non-zero")
@@ -220,6 +234,7 @@ class SpinSystem:
         self.spins = np.atleast_2d(np.asarray(self.spins, dtype=float))
         if self.spins.shape[1] != 3:
             raise ParameterError("spins must have shape (n_sites, 3)")
+        require_finite(spins=self.spins)
         norms = np.linalg.norm(self.spins, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-8):
             raise ParameterError("every spin must be a unit vector")
@@ -244,14 +259,5 @@ class SpinSystem:
         return self.spins.shape[0]
 
     @classmethod
-    def single(cls, direction=(-1.0, 0.0, 0.0), b_ext_dir=(0.0, 0.0, 1.0)) -> "SpinSystem":
-        return cls(spins=_unit(direction, "spin"), b_ext_dir=b_ext_dir)
-
-    def copy(self) -> "SpinSystem":
-        return SpinSystem(
-            spins=self.spins.copy(),
-            b_ext_dir=self.b_ext_dir.copy(),
-            exchange={k: v.copy() for k, v in self.exchange.items()} if self.exchange else None,
-            aux_v=self.aux_v.copy(),
-            aux_w=self.aux_w.copy(),
-        )
+    def single(cls, direction=(-1.0, 0.0, 0.0)) -> "SpinSystem":
+        return cls(spins=_unit(direction, "spin"))

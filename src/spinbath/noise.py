@@ -2,8 +2,9 @@
 
 A trace is generated in one shot before integration: white Gaussian samples
 are filtered in the frequency domain by the square root of the target
-spectral density (circular convolution via FFT).  The leading wrap-affected
-margin is discarded by the caller, which makes the retained part effectively
+spectral density (circular convolution via a real FFT pair, row by row in
+place over the white samples).  The leading wrap-affected margin is
+discarded by the caller, which makes the retained part effectively
 stationary.
 """
 
@@ -56,21 +57,6 @@ class WhiteSeed:
             raise ParameterError("dt must be positive")
 
 
-def _white_rows(ws: WhiteSeed, out: np.ndarray):
-    """Draw the white samples of ws into the three rows of out, one row at a
-    time from one generator, yielding each row once it is drawn.
-
-    Three standard_normal(n) draws equal one standard_normal((3, n)) draw
-    bit for bit, so the rows are those of the whole (3, n) block.
-    """
-    rng = np.random.Generator(np.random.Philox(key=ws.seed & _MASK64))
-    scale = math.sqrt(ws.dt)
-    for row in out:
-        rng.standard_normal(out=row)
-        row /= scale
-        yield row
-
-
 def white_gaussian(ws: WhiteSeed) -> np.ndarray:
     """3 x n i.i.d. Gaussian samples with variance 1/dt per sample.
 
@@ -79,8 +65,9 @@ def white_gaussian(ws: WhiteSeed) -> np.ndarray:
     equivalence, with bit reproducibility only for a fixed numpy install.
     """
     xi = np.empty((3, ws.n_samples))
-    for _ in _white_rows(ws, xi):
-        pass
+    rng = np.random.Generator(np.random.Philox(key=ws.seed & _MASK64))
+    rng.standard_normal(out=xi)
+    xi /= math.sqrt(ws.dt)
     return xi
 
 
@@ -102,73 +89,62 @@ class NoiseTrace:
         return self.components.shape[1]
 
 
+def _amplitude(psd: PowerSpectrum, n: int, dt: float) -> np.ndarray:
+    """sqrt(density) on the n//2 + 1 non-negative frequencies of an
+    n-sample real transform at spacing dt."""
+    amp = np.asarray(psd.trace_density(
+        2.0 * math.pi * np.fft.rfftfreq(n, d=dt)), dtype=float)
+    if np.any(amp < 0.0) or not np.all(np.isfinite(amp)):
+        raise RuntimeError("spectral density must be finite and non-negative")
+    return np.sqrt(amp, out=amp)
+
+
+def _filter_rows(xi: np.ndarray, amp: np.ndarray) -> None:
+    """Filter each row of xi in place by amp, through one reused buffer of
+    n//2 + 1 complex bins.  np.fft takes out= from numpy 2.0 on, hence
+    pyproject's numpy>=2.0."""
+    n = xi.shape[1]
+    spec = np.empty(len(amp), dtype=complex)
+    for row in xi:
+        np.fft.rfft(row, out=spec)
+        spec *= amp
+        np.fft.irfft(spec, n, out=row)
+
+
 def colour(white: np.ndarray, psd: PowerSpectrum, dt: float,
            seed: WhiteSeed | None = None) -> NoiseTrace:
     """Filter white samples so their spectral density matches the target.
 
     Implements component-wise circular convolution as
-    ifft(sqrt(density(omega_k)) * fft(xi)); the filter is even in omega, so
-    Hermitian symmetry keeps the output real.  The density is evaluated on
-    the non-negative half of the frequency grid only and mirrored onto the
-    negative half, which is exact: every density depends on |omega| or
-    omega^2 alone.  The components are coloured one at a time in one reused
-    complex buffer, so besides white and the (3, n) result only that row
-    and the half filter are held.
+    irfft(sqrt(density(omega_k)) * rfft(xi)).  Every density depends on
+    |omega| alone, so its values at the non-negative frequencies define the
+    filter, and the real inverse transform makes the output real by
+    construction.  The filter is evaluated first, then a copy of white is
+    filtered row by row in place; white itself is left untouched.
     """
     xi = np.asarray(white, dtype=float)
     if xi.ndim != 2 or xi.shape[0] != 3 or xi.shape[1] < 2:
         raise ParameterError("white must have shape (3, n) with n >= 2")
-    return _colour(lambda components: xi, xi.shape[1], psd, dt, seed)
-
-
-def _colour(white_rows, n: int, psd: PowerSpectrum, dt: float,
-            seed: WhiteSeed | None) -> NoiseTrace:
-    """colour's body: white_rows(components) gives the three white rows,
-    each consumed before the next is asked for, so they may be drawn into
-    the rows of the result itself."""
-    # rfftfreq gives |fftfreq| at k = 0..n//2 bit for bit
-    half = np.asarray(psd.trace_density(
-        2.0 * math.pi * np.fft.rfftfreq(n, d=dt)), dtype=float)
-    if np.any(half < 0.0) or not np.all(np.isfinite(half)):
-        raise RuntimeError("spectral density must be finite and non-negative")
-    np.sqrt(half, out=half)
-    h = len(half)
-    # bin n - k carries frequency -omega_k: bins h..n-1 take half[n-h..1]
-    mirror = half[n - h:0:-1]
-    # the row buffer comes before the result, so that once freed its block
-    # is reused by the next trace instead of raising the heap: the chain
-    # workload's peak RSS read 41.1 MB this way and 41.4-41.5 MB the other
-    spec = np.empty(n, dtype=complex)
-    components = np.empty((3, n))
-    max_imag = 0.0
-    # np.fft takes out= from numpy 2.0 on, hence pyproject's numpy>=2.0
-    for row, x in zip(components, white_rows(components)):
-        spec[:] = x
-        np.fft.fft(spec, out=spec)
-        spec[:h] *= half
-        spec[h:] *= mirror
-        np.fft.ifft(spec, out=spec)
-        row[:] = spec.real
-        max_imag = max(max_imag, float(spec.imag.max()),
-                       -float(spec.imag.min()))
-    # einsum sums the squares without a temporary or a BLAS thread pool
-    rms = math.sqrt(float(np.einsum("ij,ij", components, components))
-                    / components.size)
-    if rms > 0.0 and max_imag > 1e-10 * rms:
-        raise RuntimeError("colouring produced a non-real trace")
-    return NoiseTrace(components=components, dt=dt,
-                      provenance=(seed, psd.describe()))
+    amp = _amplitude(psd, xi.shape[1], dt)
+    xi = xi.copy()
+    _filter_rows(xi, amp)
+    return NoiseTrace(components=xi, dt=dt, provenance=(seed, psd.describe()))
 
 
 def coloured_trace(ws: WhiteSeed, psd: PowerSpectrum) -> NoiseTrace:
     """The white samples of `ws` coloured with `psd`, bit-identical to
     colour(white_gaussian(ws), psd, ws.dt, seed=ws).
 
-    Each white row is drawn into its row of the result just before that row
-    is coloured, so no (3, n) white block is held beside the result.
+    The white block is drawn into the array that is returned and filtered
+    there in place.  The filter is evaluated before the draw, so the
+    spectrum's temporaries come and go before the (3, n) block exists.
     """
-    return _colour(lambda components: _white_rows(ws, components),
-                   ws.n_samples, psd, ws.dt, ws)
+    amp = _amplitude(psd, ws.n_samples, ws.dt)
+    # looked up through the module at each call, so a tracer that wraps
+    # white_gaussian sees the draw
+    xi = white_gaussian(ws)
+    _filter_rows(xi, amp)
+    return NoiseTrace(components=xi, dt=ws.dt, provenance=(ws, psd.describe()))
 
 
 def trace_for_run(psd: PowerSpectrum, seed: int, dt: float, n_steps: int,

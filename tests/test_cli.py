@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -303,6 +304,41 @@ methods = lorentzian-set1
             ini.write_text(BASE + f"\nworkers = {workers}\n")
         assert main(args) == 2
         assert capsys.readouterr().err == f"config error: {key} must be >= 1\n"
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    # each row of this table was accepted, or failed with a traceback or a
+    # divergence, before values were checked for finiteness where they enter
+    @pytest.mark.parametrize("key,value,name", [
+        ("cutoff", "nan", "cutoff"), ("cutoff", "inf", "cutoff"),
+        ("b_ext_tesla", "inf", "b_ext_tesla"), ("eta", "nan", "eta"),
+        ("temperature", "nan", "temperature"), ("t_max", "inf", "t_max"),
+        ("initial_spin", "nan, 0, 0", "spin")])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, key,
+                                                value, name):
+        text = """
+[frame]
+b_ext_tesla = 10.0
+
+[bath]
+kind = ohmic
+eta = 0.02
+
+[noise]
+kind = quantum-ohmic
+temperature = 1.0
+cutoff = 10.0
+
+[run]
+mode = trajectory
+t_max = 3.0
+initial_spin = -1, 0, 0
+"""
+        assert f"\n{key} = " in text
+        ini = tmp_path / "bad.ini"
+        ini.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text))
+        assert main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name} must be finite, got ")
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_validate_mode_passes_on_defaults(self, capsys):

@@ -195,6 +195,15 @@ class TestPowerSpectrum:
         om = np.linspace(-20, 20, 101)
         assert np.array_equal(a.trace_density(om), b.trace_density(om))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["temperature", "cutoff"])
+    def test_non_finite_rejected_by_name(self, name, bad):
+        kwargs = dict(temperature=1.0, cutoff=10.0)
+        kwargs[name] = bad
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            power_spectrum("quantum-ohmic", OhmicParams(ETA), frame=FRAME,
+                           **kwargs)
+
     def test_validation_errors(self):
         with pytest.raises(ParameterError):
             power_spectrum("classical-ohmic", OhmicParams(ETA), -1.0, FRAME)

@@ -387,6 +387,14 @@ class TestIntegratorPlumbing:
         with pytest.raises(ConfigurationError):
             integrate(SpinSystem.single((-1, 0, 0)), cfg, traces=[stub])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["dt", "t_max", "temperature", "cutoff",
+                                      "noise_margin"])
+    def test_non_finite_config_rejected_by_name(self, name, bad):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02),
+                             noise_kind="quantum-ohmic", **{name: bad})
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             IntegratorConfig(frame=FRAME, bath=SET1, dt=-0.1, t_max=1.0)

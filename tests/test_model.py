@@ -45,6 +45,15 @@ class TestUnitFrame:
         with pytest.raises(ParameterError):
             build_unit_frame(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,key", [("b_ext_tesla", "b_ext_tesla"),
+                                          ("gamma_si", "gamma_si")])
+    def test_non_finite_rejected_by_name(self, name, key, bad):
+        kwargs = dict(b_ext_tesla=10.0, gamma_si=GAMMA_ELECTRON)
+        kwargs[key] = bad
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            build_unit_frame(**kwargs)
+
     def test_thermal_ratio_collapses_on_t_over_n(self):
         a = build_unit_frame(10.0, -1.76e11, 1)
         b = build_unit_frame(10.0, -1.76e11, 200)
@@ -85,6 +94,19 @@ class TestBathParams:
             OhmicParams(eta=-0.1)
         with pytest.raises(ParameterError):
             LorentzianParams(omega0=1.0, gamma_width=0.5, alpha=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eta_rejected_by_name(self, bad):
+        with pytest.raises(ParameterError, match="^eta must be finite"):
+            OhmicParams(eta=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["omega0", "gamma_width", "alpha"])
+    def test_non_finite_lorentzian_rejected_by_name(self, name, bad):
+        kwargs = dict(omega0=1.4, gamma_width=0.5, alpha=0.16)
+        kwargs[name] = bad
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            LorentzianParams(**kwargs)
 
     def test_decoupled_limits_allowed(self):
         assert OhmicParams(eta=0.0).eta == 0.0
@@ -139,11 +161,15 @@ class TestSpinSystem:
         with pytest.raises(ParameterError):
             SpinSystem(spins=np.array([[0, 0, 1.0]]), exchange={(0, 1): np.eye(3)})
 
-    def test_copy_is_deep(self):
-        sys = SpinSystem.single((0, 0, 1.0))
-        other = sys.copy()
-        other.spins[0, 0] = 5.0
-        assert sys.spins[0, 0] == 0.0
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spin_rejected_by_name(self, bad):
+        with pytest.raises(ParameterError, match="^spin must be finite"):
+            SpinSystem.single((bad, 0.0, 0.0))
+        with pytest.raises(ParameterError, match="^spins must be finite"):
+            SpinSystem(spins=np.array([[bad, 0.0, 0.0]]))
+        with pytest.raises(ParameterError, match="^b_ext_dir must be finite"):
+            SpinSystem(spins=np.array([[1.0, 0.0, 0.0]]),
+                       b_ext_dir=(0.0, bad, 1.0))
 
 
 class TestIntegrationDivergedError:

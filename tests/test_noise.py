@@ -22,8 +22,16 @@ def banded(omega, values, width=0.1):
             values[:m].reshape(-1, nb).mean(axis=1))
 
 
+def colour_whole_array(white, psd, dt):
+    """irfft(amp * rfft(xi)) on all three rows at once."""
+    n = white.shape[1]
+    amp = np.sqrt(psd.trace_density(2.0 * math.pi * np.fft.rfftfreq(n, d=dt)))
+    return np.fft.irfft(amp * np.fft.rfft(white, axis=1), n, axis=1)
+
+
 def colour_reference(white, psd, dt):
-    """Whole-array colouring, ifft(amp * fft(xi)) on all three rows at once."""
+    """Complex-transform colouring, ifft(amp * fft(xi)) over the whole
+    frequency grid, kept as an independent oracle."""
     omega = 2.0 * math.pi * np.fft.fftfreq(white.shape[1], d=dt)
     amp = np.sqrt(psd.trace_density(omega))
     return np.fft.ifft(amp * np.fft.fft(white, axis=1), axis=1).real
@@ -50,8 +58,8 @@ class TestWhiteGaussian:
         assert np.array_equal(white_gaussian(ws), white_gaussian(ws))
 
     def test_rows_equal_one_whole_block_draw(self):
-        # the rows are drawn one at a time, which must give the samples of
-        # one standard_normal((3, n)) draw from the same generator
+        # the white stream is one standard_normal((3, n)) draw from a Philox
+        # generator keyed by the seed
         ws = WhiteSeed(seed=99, n_samples=4099, dt=DT)
         rng = np.random.Generator(np.random.Philox(key=ws.seed))
         block = rng.standard_normal((3, ws.n_samples))
@@ -147,28 +155,54 @@ class TestColour:
         psd = power_spectrum(kind, params, temp, FRAME, cutoff=cutoff)
         ws = WhiteSeed(seed=13, n_samples=n, dt=DT)
         white = white_gaussian(ws)
-        want = colour_reference(white, psd, DT).tobytes()
+        want = colour_whole_array(white, psd, DT).tobytes()
         got = colour(white, psd, DT).components
         assert got.flags.c_contiguous and got.shape == (3, n)
         assert got.tobytes() == want
-        # coloured_trace draws the white rows into the result one by one
+        # coloured_trace filters its white draw in place, row by row
         assert coloured_trace(ws, psd).components.tobytes() == want
+
+    # the real transform pair rounds differently from the complex one, by
+    # at most 2.5e-15 rms over these cases, and 4.3e-15 at n = 2,279 and
+    # 301,661 (numpy 2.4.6)
+    @pytest.mark.parametrize("n", [2, 3, 10, 2 ** 12, 4099])
+    @pytest.mark.parametrize("kind,params,temp,cutoff", SPECTRA)
+    def test_within_rounding_of_complex_transform(self, kind, params, temp,
+                                                  cutoff, n):
+        psd = power_spectrum(kind, params, temp, FRAME, cutoff=cutoff)
+        white = white_gaussian(WhiteSeed(seed=13, n_samples=n, dt=DT))
+        want = colour_reference(white, psd, DT)
+        got = colour(white, psd, DT).components
+        rms = math.sqrt(np.mean(want ** 2))
+        assert np.max(np.abs(got - want)) <= 1e-13 * rms
+
+    def test_colour_leaves_white_unchanged(self):
+        psd = power_spectrum("quantum-lorentzian", SET2, 1.0, FRAME)
+        white = white_gaussian(WhiteSeed(seed=19, n_samples=1000, dt=DT))
+        before = white.copy()
+        trace = colour(white, psd, DT)
+        assert np.array_equal(white, before)
+        assert not np.shares_memory(trace.components, white)
 
     # Peak bytes allocated per sample, tracemalloc, numpy 2.4.6, for
     # quantum-ohmic (cutoff 10) at n = 301,661 and quantum-lorentzian at
-    # n = 2,279.  colour: 120.4 and 184.8 colouring all three rows at once,
-    # 59.0 and 67.5 one row at a time over the whole frequency grid, now
-    # 44.9 and 52.5 with the filter on the half grid.  coloured_trace: 83.0
-    # and 91.6 with the (3, n) white block beside the result, now 44.4 and
-    # 52.9 with each white row drawn into its row of the result.  The result
-    # holds 24, the complex row 16 and the half filter 4; the shorter trace
-    # pays more for fixed costs.  tracemalloc counts numpy's array
-    # allocations only, not pocketfft's internal scratch (Bluestein
+    # n = 2,279.  colour: 120.4 and 184.8 colouring all three rows at once
+    # with complex transforms, 44.9 and 52.5 one row at a time through a
+    # complex row with the filter on the half grid, now 36.9 and 44.3 with
+    # a real transform pair filtering a copy of white in place.
+    # coloured_trace: 83.0 and 91.6 with the (3, n) white block beside the
+    # result, 44.4 and 52.9 with each white row drawn into its row of the
+    # result, now 36.4 and 44.3 filtering the white block in place.  Both
+    # evaluate the filter before the (3, n) block exists; evaluated after
+    # the draw, the spectrum's temporaries sit on top of the block (53.5 at
+    # 301,661).  The block holds 24, the complex row 8 and the filter 4; the
+    # shorter trace pays more for fixed costs.  tracemalloc counts numpy's
+    # array allocations only, not pocketfft's internal scratch (Bluestein
     # buffers), so these gates cannot catch growth there; the benchmark's
     # peak RSS covers that.
     @pytest.mark.parametrize("kind,params,cutoff,n,gate", [
-        ("quantum-ohmic", OhmicParams(ETA), 10.0, 301_661, 46.0),
-        ("quantum-lorentzian", SET2, None, 2_279, 54.0)])
+        ("quantum-ohmic", OhmicParams(ETA), 10.0, 301_661, 38.0),
+        ("quantum-lorentzian", SET2, None, 2_279, 45.0)])
     @pytest.mark.parametrize("whole_white", [True, False],
                              ids=["colour", "coloured_trace"])
     def test_peak_memory_per_sample(self, kind, params, cutoff, n, gate,
