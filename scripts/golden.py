@@ -7,8 +7,10 @@
 The runs cover every seeded output the package writes: the CLI trajectory
 of each method with its noise dump, the ensemble and sweep CSVs at one and
 two workers, the arrays of an exchange-coupled chain, and the noise traces
-of each method at 0, 1 and 25 K.  The ensemble has MIN_LANES members, so
-one worker runs them as array lanes and two workers as float lanes.
+of each method at 0, 1 and 25 K.  The ensemble has MIN_LANES members,
+which run as one batch of array lanes at one worker and at two alike: a
+worker gets a batch of its own only while every batch keeps MIN_LANES
+members.
 
 Digests are stored under the numpy version, because the Philox white draw
 is bit-reproducible only for a fixed numpy; --write replaces this

@@ -25,7 +25,8 @@ from .experiments import (DEFAULT_ETA, DESK_ENSEMBLE_T_MAX, DESK_N_TRAJ,
                           method_config, statphys_oracle, temperature_sweep)
 from .model import (GAMMA_ELECTRON, SET1, SET2, ConfigurationError,
                     IntegrationDivergedError, LorentzianParams, OhmicParams,
-                    ParameterError, SpinSystem, UnitFrame, build_unit_frame)
+                    ParameterError, SpinSystem, UnitFrame, build_unit_frame,
+                    require_finite)
 from .noise import WhiteSeed, banded_psd_error
 
 MODES = ("trajectory", "ensemble", "sweep", "validate")
@@ -129,11 +130,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                return cast(raw)
-            except ParameterError:
-                raise
+                value = cast(raw)
             except Exception as err:
                 raise ConfigurationError(f"bad value for {section}.{key}: {raw!r}") from err
+            if cast in (float, _parse_float_list):
+                # checked here, since a mode or bath may leave the key unused
+                require_finite(**{key: value})
+            return value
         return default
 
     cfg.b_ext_tesla = get("frame", "b_ext_tesla", float, cfg.b_ext_tesla)

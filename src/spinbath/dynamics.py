@@ -9,9 +9,9 @@ variables, with g = sign(gamma):
     resonant:     ds/dt = g s x (f + V),   dV/dt = W,
                   dW/dt = -omega0^2 V - Gamma W + alpha s
 
-where f = b_ext_dir + noise + exchange field.  Pre-generated coloured noise
-turns the stochastic equation into a random ODE with continuous forcing
-(linear interpolation at half steps).
+where f = z + noise + exchange field (z the unit static field) and V = W = 0
+at t = 0.  Pre-generated coloured noise turns the stochastic equation into a
+random ODE with continuous forcing (linear interpolation at half steps).
 
 The step scheme is the classical RK4 applied in exponential coordinates on
 the rotation group (with plain RK4 for the V, W components): each stage
@@ -67,6 +67,17 @@ class IntegratorConfig:
             raise ParameterError("t_max must be at least one step")
         if self.temperature < 0.0:
             raise ParameterError("temperature must be >= 0")
+        if self.noise_margin is not None and self.noise_margin < 0.0:
+            raise ParameterError("noise_margin must be >= 0")
+        # in floats, before n_steps rounds it to an int; a (3, n) noise
+        # trace takes 24 bytes a sample, and numpy indexes intp-max bytes
+        lead_in = self.margin_time if self.noise_kind is not None else 0.0
+        samples = (self.t_max + lead_in) / self.dt
+        if samples > np.iinfo(np.intp).max // 24:
+            raise ParameterError(
+                f"t_max / dt too large: t_max = {self.t_max!r} at dt = "
+                f"{self.dt!r} needs {samples:.3g} samples, noise lead-in "
+                f"included, more than one array can index")
         if self.noise_kind is not None:
             if isinstance(self.bath, OhmicParams):
                 allowed = OHMIC_NOISE_KINDS
@@ -206,23 +217,22 @@ def _row_sink(buf):
     return put
 
 
-def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
+def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
                coupled=False):
     """Memory-free bath: n_steps of RK4 in rotation coordinates, a generator.
 
-    s = (sx, sy, sz) lanes; noise = (bx, by, bz), each indexable by grid
-    point 0..n_steps and giving lanes (or floats, shared by every lane);
-    e = b_ext_dir.  sinks = (x, y, z, norm) receive the initial state and
-    the state after every step, called in that order.  Uncoupled, it never
-    yields: one next(gen, None) runs it.  Coupled, it yields the spin
-    (x, y, z) of each RK stage: the spin s at the start of the step, then s
-    rotated by h/2 o1, h/2 o2 and h o3, o_k being the rate of stage k.  Each
-    yield must be sent back the exchange field (jx, jy, jz) at that spin,
-    which joins the stage's bath field.  It returns after the last step's
-    fourth stage.
+    s = (sx, sy, sz) lanes; noise = (bx, by, bz), the bath field, to which
+    the unit static field along z is added, each indexable by grid point
+    0..n_steps and giving lanes (or floats, shared by every lane).  sinks =
+    (x, y, z, norm) receive the initial state and the state after every
+    step, called in that order.  Uncoupled, it never yields: one next(gen,
+    None) runs it.  Coupled, it yields the spin (x, y, z) of each RK stage:
+    the spin s at the start of the step, then s rotated by h/2 o1, h/2 o2
+    and h o3, o_k being the rate of stage k.  Each yield must be sent back
+    the exchange field (jx, jy, jz) at that spin, which joins the stage's
+    bath field.  It returns after the last step's fourth stage.
     """
     sx, sy, sz = s
-    ex, ey, ez = e
     bxl, byl, bzl = noise
     coeffs, sqrt, check = lanes
     ax, ay, az, an = sinks
@@ -231,12 +241,12 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
     h2 = 0.5 * h
     h6 = h / 6.0
     ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
-    b1x = ex + bxl[0]; b1y = ey + byl[0]; b1z = ez + bzl[0]
+    b1x = bxl[0]; b1y = byl[0]; b1z = 1.0 + bzl[0]
     i = -1
     try:
         for i in range(n_steps):
             b0x = b1x; b0y = b1y; b0z = b1z
-            b1x = ex + bxl[i + 1]; b1y = ey + byl[i + 1]; b1z = ez + bzl[i + 1]
+            b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = 1.0 + bzl[i + 1]
             bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
             fx = b0x; fy = b0y; fz = b0z
@@ -317,7 +327,7 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, e, lanes, sinks,
         raise IntegrationDivergedError(i + 1) from None
 
 
-def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
+def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
                       sinks, coupled=False):
     """Resonant bath: a generator running n_steps of RK4, rotation
     coordinates for s and plain coordinates for the auxiliary vectors V, W.
@@ -329,7 +339,6 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
     sx, sy, sz = s
     vx, vy, vz = v
     wx, wy, wz = w
-    ex, ey, ez = e
     bxl, byl, bzl = noise
     coeffs, sqrt, check = lanes
     ax, ay, az, an, avx, avy, avz = sinks
@@ -349,7 +358,7 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
             b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = bzl[i + 1]
             bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
-            fx = ex + b0x + vx; fy = ey + b0y + vy; fz = ez + b0z + vz
+            fx = b0x + vx; fy = b0y + vy; fz = 1.0 + b0z + vz
             if coupled:
                 jx, jy, jz = yield sx, sy, sz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
@@ -367,7 +376,7 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             v2x = vx + h2 * dv1x; v2y = vy + h2 * dv1y; v2z = vz + h2 * dv1z
             w2x = wx + h2 * dw1x; w2y = wy + h2 * dw1y; w2z = wz + h2 * dw1z
-            fx = ex + bhx + v2x; fy = ey + bhy + v2y; fz = ez + bhz + v2z
+            fx = bhx + v2x; fy = bhy + v2y; fz = 1.0 + bhz + v2z
             if coupled:
                 jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
@@ -389,7 +398,7 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             v3x = vx + h2 * dv2x; v3y = vy + h2 * dv2y; v3z = vz + h2 * dv2z
             w3x = wx + h2 * dw2x; w3y = wy + h2 * dw2y; w3z = wz + h2 * dw2z
-            fx = ex + bhx + v3x; fy = ey + bhy + v3y; fz = ez + bhz + v3z
+            fx = bhx + v3x; fy = bhy + v3y; fz = 1.0 + bhz + v3z
             if coupled:
                 jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
@@ -411,7 +420,7 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, e, lanes,
             pz = sz + a * cz + b * (ux * cy - uy * cx)
             v4x = vx + h * dv3x; v4y = vy + h * dv3y; v4z = vz + h * dv3z
             w4x = wx + h * dw3x; w4y = wy + h * dw3y; w4z = wz + h * dw3z
-            fx = ex + b1x + v4x; fy = ey + b1y + v4y; fz = ez + b1z + v4z
+            fx = b1x + v4x; fy = b1y + v4y; fz = 1.0 + b1z + v4z
             if coupled:
                 jx, jy, jz = yield px, py, pz
                 fx = fx + jx; fy = fy + jy; fz = fz + jz
@@ -497,24 +506,27 @@ def _lockstep(kernels, sys: SpinSystem):
                 pass
 
 
-def _kernel(cfg: IntegratorConfig, s, v, w, noise, e, lanes, sinks,
-            coupled=False):
-    """The kernel generator of cfg's bath for one run."""
+def _kernel(cfg: IntegratorConfig, s, noise, lanes, sinks, coupled=False):
+    """The kernel generator of cfg's bath for one run; a resonant bath
+    starts with V = W = 0 on every lane."""
     if isinstance(cfg.bath, LorentzianParams):
-        return lorentzian_kernel(s, v, w, noise, cfg.n_steps, cfg.dt, cfg.bath,
-                                 cfg.frame.sign_gamma, e, lanes, sinks, coupled)
+        zero = (0.0, 0.0, 0.0)
+        return lorentzian_kernel(s, zero, zero, noise, cfg.n_steps, cfg.dt,
+                                 cfg.bath, cfg.frame.sign_gamma, lanes, sinks,
+                                 coupled)
     return llg_kernel(s, noise, cfg.n_steps, cfg.dt, cfg.bath.eta,
-                      cfg.frame.sign_gamma, e, lanes, sinks[:4], coupled)
+                      cfg.frame.sign_gamma, lanes, sinks[:4], coupled)
 
 
 def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
               traces=None) -> Trajectory:
     """Integrate the system over cfg.t_max; pure in (initial state, cfg, seed).
 
-    The caller's SpinSystem is left untouched.  `traces` overrides the
-    internally generated noise (one NoiseTrace per site), which is how
-    shared-noise comparisons across methods are run.  Each site runs as its
-    own float-lane kernel; sites coupled by exchange step in lockstep.
+    The caller's SpinSystem is left untouched, and a resonant bath starts
+    with V = W = 0.  `traces` overrides the internally generated noise (one
+    NoiseTrace per site), which is how shared-noise comparisons across
+    methods are run.  Each site runs as its own float-lane kernel; sites
+    coupled by exchange step in lockstep.
     Spins and V are recorded in the (n_steps+1, 3) layout they are returned
     in: a single site's arrays wrap the recording buffers without a copy,
     and several sites are stacked once.
@@ -534,14 +546,12 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
                     f"noise trace dt={tr.dt!r} differs from the run's "
                     f"dt={cfg.dt!r}")
 
-    e = sys.b_ext_dir.tolist()
-    s, v, w = (a.tolist() for a in (sys.spins, sys.aux_v, sys.aux_w))
+    s = sys.spins.tolist()
     # per site, three buffers: the spin, |s| and V.  One append is the x, y
     # and z sink of the spin (and of V); the kernel calls them in that order
     # every step, so the buffer reads as (n_steps+1, 3) row-major.
     records = [(array("d"), array("d"), array("d")) for _ in range(n_sites)]
-    kernels = [_kernel(cfg, s[k], v[k], w[k],
-                       _site_noise(traces and traces[k], n_steps), e,
+    kernels = [_kernel(cfg, s[k], _site_noise(traces and traces[k], n_steps),
                        FLOAT_LANES, [xyz.append] * 3 + [nrm.append]
                        + [vs.append] * 3, bool(sys.exchange))
                for k, (xyz, nrm, vs) in enumerate(records)]
@@ -583,20 +593,18 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
     width = len(seeds)
     n_steps = cfg.n_steps
     sys = SpinSystem.single(initial_spin)
-    e = tuple(float(x) for x in sys.b_ext_dir)
     sz = np.empty((n_steps + 1, width))
     sinks = [_skip] * 7
     if width < MIN_LANES:
-        s, zeros = sys.spins[0].tolist(), (0.0, 0.0, 0.0)
+        s = sys.spins[0].tolist()
         steps = [0] * width
         for k, seed in enumerate(seeds):
             traces = noise_traces(cfg, seed, 1)
+            noise = _site_noise(traces and traces[0], n_steps)
             col = array("d")
             sinks[2] = col.append
             try:
-                next(_kernel(cfg, s, zeros, zeros,
-                             _site_noise(traces and traces[0], n_steps), e,
-                             FLOAT_LANES, sinks), None)
+                next(_kernel(cfg, s, noise, FLOAT_LANES, sinks), None)
             except IntegrationDivergedError as err:
                 steps[k] = err.step
             sz[:len(col), k] = col
@@ -608,9 +616,7 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
                          width, n_steps))
     steps = np.zeros(width, dtype=np.int64)
     s = tuple(np.full(width, float(x)) for x in sys.spins[0])
-    zeros = tuple(np.zeros(width) for _ in range(3))
     sinks[2] = _row_sink(sz)
     with np.errstate(all="ignore"):  # blown-up lanes go NaN quietly
-        next(_kernel(cfg, s, zeros, zeros, noise, e, _member_lanes(steps),
-                     sinks), None)
+        next(_kernel(cfg, s, noise, _member_lanes(steps), sinks), None)
     return sz, [int(k) for k in steps]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # integrate is unused here, but bench/spans.py traces runs under this name
-from .dynamics import IntegratorConfig, integrate, integrate_members
+from .dynamics import MIN_LANES, IntegratorConfig, integrate, integrate_members
 from .model import (SET1, SET2, IntegrationDivergedError, OhmicParams,
                     ParameterError, UnitFrame)
 from .noise import derive_seed
@@ -101,17 +101,20 @@ class EnsembleResult:
 # Members run in batches through dynamics.integrate_members, a batch of at
 # least MIN_LANES as the lanes of one array kernel.  A batch of lanes holds
 # its noise, three components, and its recorded s_z: 32*(n_steps+1) bytes
-# per member.  16 MB fits 248 members at the desk ensemble t_max (2,011
-# steps) and 23 at the desk sweep t_max (20,944 steps); at full scale
-# (301,593 steps) it fits one, and members run on float lanes one by one.
-LANE_BUDGET_BYTES = 16_000_000
+# per member.  128 MB fits 1,988 members at the desk ensemble t_max (2,011
+# steps), 190 at the desk sweep t_max (20,944 steps) and 13, too few for
+# lanes, at full scale (301,593 steps).
+LANE_BUDGET_BYTES = 128_000_000
 
 
 def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
     """Contiguous (start, stop) member ranges: as few as the byte budget
-    allows, but at least one per worker."""
+    allows, but one per worker while every batch keeps MIN_LANES members.
+    A run of fewer than MIN_LANES, on float lanes anyway, gets one per
+    worker."""
     cap = max(1, LANE_BUDGET_BYTES // (32 * (n_steps + 1)))
-    n_batches = max(-(-n_traj // cap), min(workers, n_traj))
+    n_batches = max(-(-n_traj // cap),
+                    min(workers, n_traj // MIN_LANES or n_traj))
     edges = [n_traj * k // n_batches for k in range(n_batches + 1)]
     return list(zip(edges[:-1], edges[1:]))
 

@@ -9,7 +9,7 @@ quantities appear only here, at the configuration boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,29 +206,17 @@ def symmetrize_exchange(raw: dict) -> dict:
     return out
 
 
-def _unit(vec, what: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float).reshape(3)
-    require_finite(**{what: v})
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ParameterError(f"{what} must be non-zero")
-    return v / norm
-
-
 @dataclass
 class SpinSystem:
-    """State of N unit spins, the field direction, couplings and bath state.
+    """N unit spins and the exchange couplings between them.
 
-    aux_v / aux_w are the per-site auxiliary bath vectors (the embedded
-    memory field and its rate); they start at zero, i.e. no accumulated
-    kernel history.  A SpinSystem is owned by one integrator at a time.
+    The static field lies along +z of the frame, and a resonant bath starts
+    with no kernel history (V = W = 0), as in the paper.  A SpinSystem is
+    owned by one integrator at a time.
     """
 
     spins: np.ndarray
-    b_ext_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
     exchange: dict | None = None
-    aux_v: np.ndarray = None
-    aux_w: np.ndarray = None
 
     def __post_init__(self):
         self.spins = np.atleast_2d(np.asarray(self.spins, dtype=float))
@@ -238,21 +226,12 @@ class SpinSystem:
         norms = np.linalg.norm(self.spins, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-8):
             raise ParameterError("every spin must be a unit vector")
-        self.b_ext_dir = _unit(self.b_ext_dir, "b_ext_dir")
         if self.exchange:
             bad = [n for pair in self.exchange for n in pair
                    if not 0 <= n < self.n_sites]
             if bad:
                 raise ParameterError(f"exchange site index out of range: {bad}")
             self.exchange = symmetrize_exchange(self.exchange)
-        if self.aux_v is None:
-            self.aux_v = np.zeros_like(self.spins)
-        else:
-            self.aux_v = np.atleast_2d(np.asarray(self.aux_v, dtype=float))
-        if self.aux_w is None:
-            self.aux_w = np.zeros_like(self.spins)
-        else:
-            self.aux_w = np.atleast_2d(np.asarray(self.aux_w, dtype=float))
 
     @property
     def n_sites(self) -> int:
@@ -260,4 +239,10 @@ class SpinSystem:
 
     @classmethod
     def single(cls, direction=(-1.0, 0.0, 0.0)) -> "SpinSystem":
-        return cls(spins=_unit(direction, "spin"))
+        """One spin along a finite, non-zero direction."""
+        v = np.asarray(direction, dtype=float).reshape(3)
+        require_finite(spin=v)
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:
+            raise ParameterError("spin must be non-zero")
+        return cls(spins=v / norm)

@@ -1,16 +1,23 @@
+import contextlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinbath
 from spinbath import cli
-from spinbath.cli import main, parse_config, run, write_csv
+from spinbath.cli import PRESETS, main, parse_config, run, write_csv
+from spinbath.coupling import SPECTRUM_KINDS
 from spinbath.dynamics import integrate, noise_traces
 from spinbath.experiments import METHOD_TAGS
 from spinbath.model import ConfigurationError, SpinSystem
@@ -312,7 +319,7 @@ methods = lorentzian-set1
         ("cutoff", "nan", "cutoff"), ("cutoff", "inf", "cutoff"),
         ("b_ext_tesla", "inf", "b_ext_tesla"), ("eta", "nan", "eta"),
         ("temperature", "nan", "temperature"), ("t_max", "inf", "t_max"),
-        ("initial_spin", "nan, 0, 0", "spin")])
+        ("initial_spin", "nan, 0, 0", "initial_spin")])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, key,
                                                 value, name):
         text = """
@@ -341,6 +348,31 @@ initial_spin = -1, 0, 0
         assert err.startswith(f"config error: {name} must be finite, got ")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    # both used to exit 1 with a traceback: a ValueError from the FFT
+    # frequency grid, and an OverflowError allocating the zero noise lanes
+    @pytest.mark.parametrize("kind,dt,t_max", [
+        ("quantum-ohmic", "1e-300", "3e-300"), ("none", "0.15", "1e300")])
+    def test_run_no_array_can_index_is_a_config_error(self, tmp_path, capsys,
+                                                      kind, dt, t_max):
+        ini = tmp_path / "long.ini"
+        ini.write_text(f"""
+[bath]
+kind = ohmic
+
+[noise]
+kind = {kind}
+temperature = 1.0
+
+[run]
+mode = trajectory
+dt = {dt}
+t_max = {t_max}
+""")
+        assert main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_max / dt too large: t_max = ")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_validate_mode_passes_on_defaults(self, capsys):
         assert main(["--mode", "validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -367,3 +399,85 @@ def test_import_loads_no_scipy():
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}
                          ).stdout
     assert out == "[]\n"
+
+
+# Typical value of every numeric key.  dt and t_max depend on the mode
+# (RUN_LENGTHS), so that a typical run takes a few thousand member-steps.
+PROPERTY_KEYS = {
+    "frame.b_ext_tesla": 10.0, "frame.gamma": -1.76e11, "frame.spin_halves": 2,
+    "bath.eta": 0.02, "bath.omega0": 1.4, "bath.gamma_width": 0.5,
+    "bath.alpha": 0.16, "noise.temperature": 1.0,
+    "noise.temperatures": (1.0, 5.0), "noise.cutoff": 10.0,
+    "run.dt": None, "run.t_max": None, "run.initial_spin": (-1.0, 0.0, 0.0),
+    "run.n_traj": 4, "run.n_replicas": 2, "run.workers": 2,
+    "run.downsample": 2,
+}
+# a sweep needs ten blocks of 50 time units in the last quarter of its run
+RUN_LENGTHS = {"trajectory": (0.15, 3.0), "ensemble": (0.15, 3.0),
+               "sweep": (1.0, 2000.0)}
+NOISE_KINDS = {"ohmic": ["classical-ohmic", "quantum-ohmic", "none"],
+               "lorentzian": ["quantum-lorentzian", "classical-lorentzian",
+                              "none"]}
+
+
+@st.composite
+def cli_configs(draw):
+    """(config text, whether a value in it is not finite).  One run in
+    three has dt = 1e-300 or t_max = 1e300.  Up to three keys take an
+    atypical value: 1, 0 or -1 for an integer; 0, a negative value, +-inf
+    or nan for a float, or for one entry of a list."""
+    mode = draw(st.sampled_from(sorted(RUN_LENGTHS)))
+    values = dict(PROPERTY_KEYS)
+    dt, t_max = RUN_LENGTHS[mode]
+    values["run.dt"], values["run.t_max"] = draw(st.sampled_from(
+        [(dt, t_max), (1e-300, t_max), (dt, 1e300)]))
+    odd = draw(st.sets(st.sampled_from(sorted(values)), max_size=3))
+    non_finite = False
+    for key in sorted(odd):
+        typical = values[key]
+        if isinstance(typical, int):
+            values[key] = draw(st.sampled_from([1, 0, -1]))
+            continue
+        scale = typical[0] if isinstance(typical, tuple) else typical
+        value = draw(st.sampled_from([0.0, -abs(scale), math.inf, -math.inf,
+                                      math.nan]))
+        non_finite = non_finite or not math.isfinite(value)
+        if isinstance(typical, tuple):
+            i = draw(st.integers(0, len(typical) - 1))
+            value = typical[:i] + (value,) + typical[i + 1:]
+        values[key] = value
+    bath = draw(st.sampled_from(["ohmic", "lorentzian", "set1", "set2"]))
+    family = "ohmic" if bath == "ohmic" else "lorentzian"
+    values["bath.kind"] = family
+    if bath in PRESETS:
+        values["bath.preset"] = bath
+    values["noise.kind"] = draw(st.sampled_from(NOISE_KINDS[family]))
+    values["run.mode"] = mode
+    values["run.methods"] = "llg-classical, lorentzian-set2"
+    sections = {}
+    for key, value in values.items():
+        section, name = key.split(".")
+        if isinstance(value, tuple):
+            value = ", ".join(map(repr, value))
+        sections.setdefault(section, []).append(f"{name} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                   for name, lines in sections.items())
+    return text, non_finite
+
+
+@given(cli_configs())
+@settings(max_examples=200, deadline=None)
+def test_main_returns_a_status_for_any_numeric_config(config):
+    # main never raises; it exits 0, 1 (divergence) or 2 (config error), and
+    # a value that is not finite is always a config error
+    text, non_finite = config
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        ini = Path(tmp) / "run.ini"
+        ini.write_text(text)
+        status = main(["--config", str(ini), "--out", tmp])
+    assert status in (0, 1, 2)
+    if non_finite:
+        assert status == 2

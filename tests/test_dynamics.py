@@ -27,12 +27,14 @@ def single_run(bath, t_max, dt, spin=(-1, 0, 0), noise_kind=None, temp=0.0,
 
 
 def llg_step(field, spin, h, eta=0.0, lanes=FLOAT_LANES):
-    """One llg_kernel step in a constant field, noise-free; returns s."""
+    """One llg_kernel step in a constant field; returns s.  The field is
+    passed as noise, less the unit static field the kernel adds on z."""
     rec = [[] for _ in range(4)]
-    quiet = ([0.0, 0.0],) * 3
+    fx, fy, fz = field
+    noise = ([fx, fx], [fy, fy], [fz - 1.0, fz - 1.0])
     with np.errstate(invalid="ignore"):  # 0/0 on a zero-angle array lane
-        next(llg_kernel(tuple(spin), quiet, 1, h, eta, -1.0, tuple(field),
-                        lanes, [r.append for r in rec]), None)
+        next(llg_kernel(tuple(spin), noise, 1, h, eta, -1.0, lanes,
+                        [r.append for r in rec]), None)
     return np.array([rec[0][-1], rec[1][-1], rec[2][-1]])
 
 
@@ -214,7 +216,7 @@ class TestEmbedding:
         v_oracle = np.array([simpson(k * traj.spins[0, :, j], dx=dt)
                              for j in range(3)])
         # field the spin sees at the last step: b_ext + V (no noise)
-        b_ext = SpinSystem.single((-1, 0, 0)).b_ext_dir
+        b_ext = np.array([0.0, 0.0, 1.0])
         field = b_ext + traj.aux_v[0, i]
         np.testing.assert_allclose(field, b_ext + v_oracle, atol=3e-6)
 
@@ -272,19 +274,13 @@ class TestEffectiveField:
         assert integrate(sys, cfg, traces=[exact]).spins.shape == (1, 4, 3)
 
     def test_memory_free_bath_excludes_aux_field(self):
-        primed = SpinSystem.single((1, 0, 0))
-        primed.aux_v[0] = [0.3, 0.0, 0.0]
-        plain = SpinSystem.single((1, 0, 0))
         ohmic = IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02), dt=0.1,
                                  t_max=1.0)
-        a = integrate(primed, ohmic)
-        assert a.aux_v is None
-        assert np.array_equal(a.spins, integrate(plain, ohmic).spins)
-        # the resonant bath starts from the given V and feels it
+        assert integrate(SpinSystem.single((1, 0, 0)), ohmic).aux_v is None
+        # the resonant bath starts with no history
         lor = IntegratorConfig(frame=FRAME, bath=SET2, dt=0.1, t_max=1.0)
-        b = integrate(primed, lor)
-        np.testing.assert_array_equal(b.aux_v[0, 0], [0.3, 0.0, 0.0])
-        assert not np.array_equal(b.spins, integrate(plain, lor).spins)
+        b = integrate(SpinSystem.single((1, 0, 0)), lor)
+        np.testing.assert_array_equal(b.aux_v[0, 0], [0.0, 0.0, 0.0])
 
 
 class TestIntegratorPlumbing:
@@ -307,7 +303,6 @@ class TestIntegratorPlumbing:
         cfg = method_config("lorentzian-set2", FRAME, 1.0, t_max=15.0)
         integrate(sys, cfg, seed=1)
         np.testing.assert_allclose(sys.spins, [[-1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(sys.aux_v, 0.0)
 
     def test_fourth_order_convergence(self):
         ref = single_run(SET2, t_max=30.0, dt=0.025)
@@ -406,6 +401,15 @@ class TestIntegratorPlumbing:
         with pytest.raises(ConfigurationError):
             IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02),
                              noise_kind="quantum-lorentzian", t_max=1.0)
+        # a negative margin would drop the lead-in that absorbs the wrap
+        with pytest.raises(ParameterError, match="^noise_margin must be >= 0"):
+            IntegratorConfig(frame=FRAME, bath=SET2, noise_margin=-40.0)
+        # the lead-in alone, 10 time units, is 1e301 samples at this dt
+        ohmic = dict(frame=FRAME, bath=OhmicParams(0.02), dt=1e-300,
+                     t_max=3e-300)
+        with pytest.raises(ParameterError, match="^t_max / dt too large"):
+            IntegratorConfig(noise_kind="quantum-ohmic", **ohmic)
+        assert IntegratorConfig(**ohmic).n_steps == 3  # no noise, no lead-in
 
 
 class TestSingleSteps:
@@ -480,8 +484,7 @@ class TestLanes:
             noise_ = tuple([lane(x) for x in n] for n in noise)
             with np.errstate(invalid="ignore"):
                 next(lorentzian_kernel(s_, v_, w_, noise_, 1, h, SET2, -1.0,
-                                       (0.0, 0.0, 1.0), lanes,
-                                       [r.append for r in rec]), None)
+                                       lanes, [r.append for r in rec]), None)
             return np.array([np.ravel(r[-1])[0] for r in rec])
 
         assert np.array_equal(step(FLOAT_LANES, float),

@@ -92,10 +92,17 @@ class TestEnsembleAverage:
 
     def test_batches_follow_budget_and_workers(self):
         batches = experiments._ensemble_batches
+        lanes = dynamics.MIN_LANES
         assert batches(100, 2011, 1) == [(0, 100)]
-        assert batches(100, 2011, 2) == [(0, 50), (50, 100)]
-        assert batches(600, 2011, 1) == [(0, 200), (200, 400), (400, 600)]
-        assert len(batches(500, 301593, 1)) == 500  # full scale: floats
+        # a worker gets its own batch only while batches keep their lanes
+        assert batches(100, 2011, 2) == [(0, 100)]
+        assert batches(2 * lanes, 2011, 2) == [(0, lanes), (lanes, 2 * lanes)]
+        assert batches(6, 2011, 2) == [(0, 3), (3, 6)]  # floats either way
+        assert batches(4000, 2011, 1) == [(0, 1333), (1333, 2666),
+                                          (2666, 4000)]
+        assert batches(96, 20944, 1) == [(0, 96)]  # a criterion-2 point
+        full = batches(500, 301593, 1)  # full scale: 13 or fewer, on floats
+        assert len(full) == 39 and max(b - a for a, b in full) < lanes
 
     def test_batch_split_does_not_change_the_result(self, monkeypatch):
         cfg = method_config("lorentzian-set2", FRAME, 1.0, t_max=15.0)

@@ -143,8 +143,6 @@ class TestSpinSystem:
     def test_single_normalizes_direction(self):
         sys = SpinSystem.single((-2.0, 0.0, 0.0))
         np.testing.assert_allclose(sys.spins, [[-1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(sys.aux_v, 0.0)
-        np.testing.assert_allclose(sys.aux_w, 0.0)
 
     def test_non_unit_spins_rejected(self):
         with pytest.raises(ParameterError):
@@ -167,9 +165,6 @@ class TestSpinSystem:
             SpinSystem.single((bad, 0.0, 0.0))
         with pytest.raises(ParameterError, match="^spins must be finite"):
             SpinSystem(spins=np.array([[bad, 0.0, 0.0]]))
-        with pytest.raises(ParameterError, match="^b_ext_dir must be finite"):
-            SpinSystem(spins=np.array([[1.0, 0.0, 0.0]]),
-                       b_ext_dir=(0.0, bad, 1.0))
 
 
 class TestIntegrationDivergedError:
