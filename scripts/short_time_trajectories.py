@@ -12,7 +12,9 @@ from pathlib import Path
 
 from spinbath import SpinSystem, build_unit_frame, integrate
 from spinbath.cli import write_csv
+from spinbath.dynamics import build_spectrum
 from spinbath.experiments import METHOD_TAGS, method_config
+from spinbath.noise import trace_for_run
 
 PAIRS = ((1, 1.0), (200, 200.0))
 
@@ -30,11 +32,15 @@ def main():
         frame = build_unit_frame(10.0, -1.76e11, n_halves)
         columns = {}
         for method in METHOD_TAGS:
-            # a common margin keeps the white-sample block identical across
-            # methods (the slowest bath needs 10 * tau_d = 40)
             cfg = method_config(method, frame, temp, dt=args.dt,
-                                t_max=args.t_max, noise_margin=40.0)
-            traj = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=args.seed)
+                                t_max=args.t_max)
+            # a common lead-in keeps the white-sample block identical across
+            # methods (the slowest bath needs 10 * tau_d = 40)
+            psd = build_spectrum(cfg)
+            traces = None if psd is None else [
+                trace_for_run(psd, args.seed, cfg.dt, cfg.n_steps, 40.0)]
+            traj = integrate(SpinSystem.single((-1, 0, 0)), cfg,
+                             traces=traces)
             columns[f"{method}_sz"] = traj.sz()
             if method.startswith("lorentzian"):
                 columns[f"{method}_sx"] = traj.spins[0, :, 0]

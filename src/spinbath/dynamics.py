@@ -55,20 +55,16 @@ class IntegratorConfig:
     dt: float = 0.15
     t_max: float = 150.0
     cutoff: float | None = None
-    noise_margin: float | None = None
 
     def __post_init__(self):
         require_finite(dt=self.dt, t_max=self.t_max,
-                       temperature=self.temperature, cutoff=self.cutoff,
-                       noise_margin=self.noise_margin)
+                       temperature=self.temperature, cutoff=self.cutoff)
         if not self.dt > 0.0:
             raise ParameterError("dt must be positive")
         if self.t_max < self.dt:
             raise ParameterError("t_max must be at least one step")
         if self.temperature < 0.0:
             raise ParameterError("temperature must be >= 0")
-        if self.noise_margin is not None and self.noise_margin < 0.0:
-            raise ParameterError("noise_margin must be >= 0")
         # in floats, before n_steps rounds it to an int; a (3, n) noise
         # trace takes 24 bytes a sample, and numpy indexes intp-max bytes
         lead_in = self.margin_time if self.noise_kind is not None else 0.0
@@ -101,8 +97,6 @@ class IntegratorConfig:
     @property
     def margin_time(self) -> float:
         """Discarded lead-in for the circular noise convolution."""
-        if self.noise_margin is not None:
-            return self.noise_margin
         return 10.0 * max(self.bath.tau_d, 1.0)
 
 

@@ -47,8 +47,7 @@ STEADY_BLOCK_LENGTH = 50.0
 
 def method_config(method: str, frame: UnitFrame, temperature: float,
                   dt: float = 0.15, t_max: float = DESK_SWEEP_T_MAX,
-                  cutoff: float | None = None,
-                  noise_margin: float | None = None) -> IntegratorConfig:
+                  cutoff: float | None = None) -> IntegratorConfig:
     """IntegratorConfig for one of the standard method tags."""
     if method not in METHOD_TAGS:
         raise ParameterError(f"unknown method {method!r}; choose from {METHOD_TAGS}")
@@ -64,7 +63,7 @@ def method_config(method: str, frame: UnitFrame, temperature: float,
         kind = None  # the white spectrum vanishes identically at T = 0
     return IntegratorConfig(frame=frame, bath=bath, noise_kind=kind,
                             temperature=temperature, dt=dt, t_max=t_max,
-                            cutoff=cutoff, noise_margin=noise_margin)
+                            cutoff=cutoff)
 
 
 def _langevin(x: float) -> float:
@@ -133,11 +132,15 @@ def _pmap(job, items, workers: int):
         yield from ex.map(job, *zip(*items))
 
 
-def _run_members(cfg: IntegratorConfig, seeds, initial_spin, workers: int = 1):
-    """(s_z column, divergence step or 0) of each seeded single-spin run, in
-    member order; no column depends on `workers` or on the batch split."""
-    bounds = _ensemble_batches(len(seeds), cfg.n_steps, workers)
-    jobs = [(cfg, seeds[a:b], tuple(initial_spin)) for a, b in bounds]
+def _run_members(points, initial_spin, workers: int = 1):
+    """(s_z column, divergence step or 0) of each seeded single-spin run of
+    each (cfg, seeds) point, in point and then member order.  Every point's
+    _ensemble_batches become integrate_members jobs of the one _pmap, so a
+    point's members may split across workers; no column depends on
+    `workers` or on the batch split, and no job raises on a divergence."""
+    spin = tuple(initial_spin)
+    jobs = [(cfg, seeds[a:b], spin) for cfg, seeds in points
+            for a, b in _ensemble_batches(len(seeds), cfg.n_steps, workers)]
     for sz, steps in _pmap(integrate_members, jobs, workers):
         # copies, and the batch dropped before the next is fetched: no column
         # the caller still holds keeps a finished batch alive meanwhile
@@ -165,7 +168,7 @@ def ensemble_average(cfg: IntegratorConfig, n_traj: int, base_seed: int = 0,
     m2 = np.zeros(len(times))
     n_used = 0
     diverged = []
-    members = _run_members(cfg, seeds, initial_spin, workers)
+    members = _run_members([(cfg, seeds)], initial_spin, workers)
     for i, (sz, step) in enumerate(members):
         if step:
             diverged.append((i, step))
@@ -201,6 +204,43 @@ def _steady_blocks(cfg: IntegratorConfig) -> tuple[int, int]:
     return n_blocks, block_steps
 
 
+def _replica_seeds(base_seed: int, n_replicas: int) -> list[int]:
+    """derive_seed(base_seed, r << 8) of each replica r; replica 0 is on
+    base_seed."""
+    if n_replicas < 1:
+        raise ParameterError("n_replicas must be >= 1")
+    return [derive_seed(base_seed, r << 8) for r in range(n_replicas)]
+
+
+def _steady_states(points, initial_spin, workers: int = 1):
+    """averaged_steady_state of each (cfg, seeds, label) point, in order,
+    with all points' members run by one _run_members.  Every averaging
+    window is checked before any member runs, and a divergence message ends
+    with the label of its point."""
+    windows = [_steady_blocks(cfg) for cfg, _, _ in points]
+    columns = _run_members([(cfg, seeds) for cfg, seeds, _ in points],
+                           initial_spin, workers)
+    for (_, seeds, label), (n_blocks, block_steps) in zip(points, windows):
+        vals, errs = [], []
+        for r in range(len(seeds)):
+            sz, step = next(columns)
+            if step:
+                raise IntegrationDivergedError(
+                    step, f"integration diverged at step {step} in "
+                    f"steady-state replica {r}{label}")
+            trimmed = sz[len(sz) - n_blocks * block_steps:]
+            blocks = trimmed.reshape(n_blocks, block_steps).mean(axis=1)
+            vals.append(float(trimmed.mean()))
+            errs.append(float(np.std(blocks, ddof=1) / math.sqrt(n_blocks)))
+            del sz, trimmed  # not held while the next batch runs
+        if len(seeds) == 1:
+            yield vals[0], errs[0]
+            continue
+        sem = float(np.std(vals, ddof=1) / math.sqrt(len(seeds)))
+        propagated = float(math.sqrt(np.mean(np.square(errs)) / len(seeds)))
+        yield float(np.mean(vals)), max(sem, propagated)
+
+
 def averaged_steady_state(cfg: IntegratorConfig, n_replicas: int,
                           base_seed: int = 0,
                           initial_spin=DEFAULT_INITIAL_SPIN) -> tuple[float, float]:
@@ -212,25 +252,8 @@ def averaged_steady_state(cfg: IntegratorConfig, n_replicas: int,
     the propagated block errors.  A diverged replica raises
     IntegrationDivergedError naming it and its step.
     """
-    if n_replicas < 1:
-        raise ParameterError("n_replicas must be >= 1")
-    n_blocks, block_steps = _steady_blocks(cfg)
-    seeds = [derive_seed(base_seed, r << 8) for r in range(n_replicas)]
-    vals, errs = [], []
-    for r, (sz, step) in enumerate(_run_members(cfg, seeds, initial_spin)):
-        if step:
-            raise IntegrationDivergedError(
-                step, f"integration diverged at step {step} in steady-state "
-                f"replica {r}")
-        trimmed = sz[len(sz) - n_blocks * block_steps:]
-        blocks = trimmed.reshape(n_blocks, block_steps).mean(axis=1)
-        vals.append(float(trimmed.mean()))
-        errs.append(float(np.std(blocks, ddof=1) / math.sqrt(n_blocks)))
-    if n_replicas == 1:
-        return vals[0], errs[0]
-    sem = float(np.std(vals, ddof=1) / math.sqrt(n_replicas))
-    propagated = float(math.sqrt(np.mean(np.square(errs)) / n_replicas))
-    return float(np.mean(vals)), max(sem, propagated)
+    seeds = _replica_seeds(base_seed, n_replicas)
+    return next(_steady_states([(cfg, seeds, "")], initial_spin))
 
 
 @dataclass
@@ -248,15 +271,6 @@ def _sweep_seed(base: int, mi: int, ti: int) -> int:
     return derive_seed(base, ((mi + 1) * 1024 + ti) << 32)
 
 
-def _sweep_point(method: str, cfg: IntegratorConfig, *args):
-    """averaged_steady_state of one point; a divergence names the point."""
-    try:
-        return averaged_steady_state(cfg, *args)
-    except IntegrationDivergedError as err:
-        msg = f"{err} of {method} at T = {cfg.temperature:g} K"
-        raise IntegrationDivergedError(err.step, msg) from None
-
-
 def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
                       dt: float = 0.15, t_max: float = DESK_SWEEP_T_MAX,
                       seed: int = 0, n_replicas: int = 1,
@@ -266,10 +280,12 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
     """Steady-state s_z for every (method, temperature) pair.
 
     Temperatures must be sorted ascending; if the grid starts at 0 the
-    rescaled curve m(T) = sz(T)/sz(0) is attached to each result.  Points
-    are independent work items with index-derived seeds, so the output does
-    not depend on `workers`.  Too short a run fails before any point runs;
-    a divergence names the method and temperature of its point.
+    rescaled curve m(T) = sz(T)/sz(0) is attached to each result.  Each
+    point is averaged_steady_state with seeds derived from its indices.  The
+    replicas of all points run as batches of members on one process pool of
+    `workers`, so a point's replicas may split across workers, and the
+    output does not depend on `workers`.  Too short a run fails before any
+    member runs; a divergence names the method and temperature of its point.
     """
     temps = np.asarray(temperatures, dtype=float)
     if temps.ndim != 1 or len(temps) == 0:
@@ -279,15 +295,15 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
     if np.any(temps < 0):
         raise ParameterError("temperatures must be >= 0")
     methods = list(methods)
-    jobs = []
+    points = []
     for mi, method in enumerate(methods):
         for ti, temp in enumerate(temps):
             cfg = method_config(method, frame, float(temp), dt=dt, t_max=t_max,
                                 cutoff=cutoff)
-            _steady_blocks(cfg)
-            jobs.append((method, cfg, n_replicas, _sweep_seed(seed, mi, ti),
-                         tuple(initial_spin)))
-    results = list(_pmap(_sweep_point, jobs, workers))
+            seeds = _replica_seeds(_sweep_seed(seed, mi, ti), n_replicas)
+            points.append((cfg, seeds,
+                           f" of {method} at T = {cfg.temperature:g} K"))
+    results = list(_steady_states(points, initial_spin, workers))
     out = []
     n = len(temps)
     for mi, method in enumerate(methods):

@@ -74,6 +74,14 @@ class UnitFrame:
             raise ParameterError("b_ext_tesla must be positive")
         if self.gamma_si == 0.0:
             raise ParameterError("gamma_si must be non-zero")
+        # thermal_ratio divides by the precession quantum; a subnormal one
+        # has lost its precision, and zero or inf has none
+        quantum = HBAR * self.larmor
+        if not np.finfo(float).tiny <= quantum < math.inf:
+            raise ParameterError(
+                f"hbar * |gamma_si| * b_ext_tesla must be a normal finite "
+                f"float, got {quantum!r} J at gamma_si = {self.gamma_si!r}, "
+                f"b_ext_tesla = {self.b_ext_tesla!r}")
         if int(self.n_halves) != self.n_halves or self.n_halves < 1:
             raise ParameterError("n_halves must be an integer >= 1")
 
@@ -155,6 +163,12 @@ class LorentzianParams:
         if not self.omega0 > self.gamma_width / 2.0:
             raise ParameterError(
                 "omega0 must exceed gamma_width/2 (oscillatory kernel regime)")
+        try:
+            self.omega0 ** 4  # eta_equivalent; float ** raises on overflow
+        except OverflowError:
+            raise ParameterError(
+                f"omega0 = {self.omega0!r} is too large: omega0**4 "
+                f"overflows") from None
 
     @property
     def omega1(self) -> float:

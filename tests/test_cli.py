@@ -373,6 +373,43 @@ t_max = {t_max}
         assert err.startswith("config error: t_max / dt too large: t_max = ")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    # each used to end in a traceback, or exit 1 as a divergence at step 1
+    @pytest.mark.parametrize("key,value,kind,message", [
+        ("gamma", "1e-300", "quantum-lorentzian",
+         "hbar * |gamma_si| * b_ext_tesla must be a normal finite float"),
+        ("b_ext_tesla", "1e-300", "quantum-lorentzian",
+         "hbar * |gamma_si| * b_ext_tesla must be a normal finite float"),
+        ("omega0", "1e300", "quantum-lorentzian",
+         "omega0 = 1e+300 is too large: omega0**4 overflows"),
+        ("omega0", "1e300", "none",
+         "omega0 = 1e+300 is too large: omega0**4 overflows")])
+    def test_finite_value_out_of_range_is_a_config_error(
+            self, tmp_path, capsys, key, value, kind, message):
+        text = f"""
+[frame]
+b_ext_tesla = 10.0
+gamma = -1.76e11
+
+[bath]
+kind = lorentzian
+omega0 = 1.4
+gamma_width = 0.5
+alpha = 0.16
+
+[noise]
+kind = {kind}
+temperature = 1.0
+
+[run]
+mode = trajectory
+t_max = 3.0
+"""
+        ini = tmp_path / "far.ini"
+        ini.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text))
+        assert main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_validate_mode_passes_on_defaults(self, capsys):
         assert main(["--mode", "validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -424,8 +461,8 @@ NOISE_KINDS = {"ohmic": ["classical-ohmic", "quantum-ohmic", "none"],
 def cli_configs(draw):
     """(config text, whether a value in it is not finite).  One run in
     three has dt = 1e-300 or t_max = 1e300.  Up to three keys take an
-    atypical value: 1, 0 or -1 for an integer; 0, a negative value, +-inf
-    or nan for a float, or for one entry of a list."""
+    atypical value: 1, 0 or -1 for an integer; 0, a negative value, 1e-300,
+    1e300, +-inf or nan for a float, or for one entry of a list."""
     mode = draw(st.sampled_from(sorted(RUN_LENGTHS)))
     values = dict(PROPERTY_KEYS)
     dt, t_max = RUN_LENGTHS[mode]
@@ -439,8 +476,8 @@ def cli_configs(draw):
             values[key] = draw(st.sampled_from([1, 0, -1]))
             continue
         scale = typical[0] if isinstance(typical, tuple) else typical
-        value = draw(st.sampled_from([0.0, -abs(scale), math.inf, -math.inf,
-                                      math.nan]))
+        value = draw(st.sampled_from([0.0, -abs(scale), 1e-300, 1e300,
+                                      math.inf, -math.inf, math.nan]))
         non_finite = non_finite or not math.isfinite(value)
         if isinstance(typical, tuple):
             i = draw(st.integers(0, len(typical) - 1))

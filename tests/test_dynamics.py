@@ -383,8 +383,7 @@ class TestIntegratorPlumbing:
             integrate(SpinSystem.single((-1, 0, 0)), cfg, traces=[stub])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["dt", "t_max", "temperature", "cutoff",
-                                      "noise_margin"])
+    @pytest.mark.parametrize("name", ["dt", "t_max", "temperature", "cutoff"])
     def test_non_finite_config_rejected_by_name(self, name, bad):
         with pytest.raises(ParameterError, match=f"^{name} must be finite"):
             IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02),
@@ -401,9 +400,6 @@ class TestIntegratorPlumbing:
         with pytest.raises(ConfigurationError):
             IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02),
                              noise_kind="quantum-lorentzian", t_max=1.0)
-        # a negative margin would drop the lead-in that absorbs the wrap
-        with pytest.raises(ParameterError, match="^noise_margin must be >= 0"):
-            IntegratorConfig(frame=FRAME, bath=SET2, noise_margin=-40.0)
         # the lead-in alone, 10 time units, is 1e301 samples at this dt
         ohmic = dict(frame=FRAME, bath=OhmicParams(0.02), dt=1e-300,
                      t_max=3e-300)

@@ -14,6 +14,7 @@ from spinbath.experiments import (DEFAULT_ETA, METHOD_TAGS,
                                   statphys_oracle, temperature_sweep)
 from spinbath.model import (HBAR, KB, IntegrationDivergedError,
                             ParameterError, SET1, SpinSystem, build_unit_frame)
+from spinbath.noise import derive_seed
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
 FRAME200 = build_unit_frame(10.0, -1.76e11, 200)
@@ -131,7 +132,7 @@ class TestEnsembleAverage:
             log.append(("batch", seeds[0]))
             return real(cfg, seeds, initial_spin)
         monkeypatch.setattr(experiments, "integrate_members", spy)
-        members = experiments._run_members(cfg, list(range(12)),
+        members = experiments._run_members([(cfg, list(range(12)))],
                                            (-1.0, 0.0, 0.0))
         for i, _ in enumerate(members):
             log.append(("column", i))
@@ -342,6 +343,31 @@ class TestTemperatureSweep:
             assert np.array_equal(a.sz_mean, b.sz_mean)
             assert np.array_equal(a.sz_stderr, b.sz_stderr)
             assert np.array_equal(a.rescaled, b.rescaled)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_maps_the_member_batches_of_every_point(self, monkeypatch,
+                                                         workers):
+        methods, temps = ["llg-classical", "llg-quantum"], [1.0, 5.0]
+        calls = []
+        real = experiments._pmap
+
+        def spy(job, items, workers):
+            calls.append((job, list(items), workers))
+            return real(job, items, workers)
+        monkeypatch.setattr(experiments, "_pmap", spy)
+        temperature_sweep(methods, temps, FRAME, dt=1.0, t_max=2000.0,
+                          seed=3, n_replicas=3, workers=workers)
+        want = []
+        for mi, method in enumerate(methods):
+            for ti, temp in enumerate(temps):
+                cfg = method_config(method, FRAME, temp, dt=1.0, t_max=2000.0)
+                seeds = [derive_seed(experiments._sweep_seed(3, mi, ti),
+                                     r << 8) for r in range(3)]
+                want += [(cfg, seeds[a:b], (-1.0, 0.0, 0.0)) for a, b in
+                         experiments._ensemble_batches(3, cfg.n_steps,
+                                                       workers)]
+        assert calls == [(experiments.integrate_members, want, workers)]
+        assert len(want) == 4 * workers  # a point's replicas split at 2
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, monkeypatch, workers):

@@ -38,6 +38,9 @@ class TestUnitFrame:
     @pytest.mark.parametrize("bad", [
         dict(b_ext_tesla=0.0), dict(b_ext_tesla=-2.0),
         dict(gamma_si=0.0), dict(n_half_hbar=0), dict(n_half_hbar=-3),
+        # hbar |gamma| B must be a normal finite float: 0, subnormal, inf
+        dict(gamma_si=1e-300), dict(b_ext_tesla=1e-300),
+        dict(b_ext_tesla=1e300),
     ])
     def test_invalid_parameters(self, bad):
         kwargs = dict(b_ext_tesla=10.0, gamma_si=GAMMA_ELECTRON, n_half_hbar=1)
@@ -83,6 +86,12 @@ class TestBathParams:
     def test_overdamped_resonance_rejected(self):
         with pytest.raises(ParameterError):
             LorentzianParams(omega0=1.0, gamma_width=2.5, alpha=0.1)
+
+    def test_resonance_whose_fourth_power_overflows_rejected(self):
+        assert LorentzianParams(omega0=1e77, gamma_width=0.5,
+                                alpha=0.16).eta_equivalent > 0.0
+        with pytest.raises(ParameterError, match="^omega0 = 1e\\+78 is too"):
+            LorentzianParams(omega0=1e78, gamma_width=0.5, alpha=0.16)
 
     def test_wide_resonance_between_omega0_and_2omega0_allowed(self):
         # tau_in goes negative here but the kernel stays oscillatory
