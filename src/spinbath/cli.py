@@ -33,42 +33,74 @@ MODES = ("trajectory", "ensemble", "sweep", "validate")
 
 PRESETS = {"set1": SET1, "set2": SET2}
 
-_SCHEMA = {
-    "frame": {"b_ext_tesla", "gamma", "spin_halves"},
-    "bath": {"kind", "eta", "preset", "omega0", "gamma_width", "alpha"},
-    "noise": {"kind", "temperature", "temperatures", "cutoff"},
-    "run": {"mode", "dt", "t_max", "n_traj", "seed", "initial_spin",
-            "methods", "downsample", "n_replicas", "workers"},
-    "output": {"path"},
-}
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigurationError(message)
+
+
+def _parse_float_list(text: str) -> tuple:
+    return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+def _parse_names(text: str) -> tuple:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+def _key(key: str, cast, default=None, check=None):
+    """A field read from config key "section.name": the text is cast, checked
+    finite if it holds floats, then passed to check, which raises
+    ConfigurationError if the value is out of its domain."""
+    return dataclasses.field(default=default, metadata={
+        "key": key, "cast": cast, "check": check})
 
 
 @dataclass
 class ExperimentConfig:
-    mode: str = "trajectory"
-    b_ext_tesla: float = 10.0
-    gamma: float = GAMMA_ELECTRON
-    spin_halves: int = 1
-    bath_kind: str | None = None
-    eta: float | None = None
-    preset: str | None = None
-    omega0: float | None = None
-    gamma_width: float | None = None
-    alpha: float | None = None
-    noise_kind: str | None = None
-    temperature: float = 0.0
-    temperatures: tuple = ()
-    cutoff: float | None = None
-    dt: float = 0.15
-    t_max: float | None = None
-    n_traj: int = DESK_N_TRAJ
-    n_replicas: int = 1
-    seed: int = 0
-    initial_spin: tuple = (-1.0, 0.0, 0.0)
-    methods: tuple = METHOD_TAGS
-    downsample: int = 1
-    workers: int = 1
-    out_path: str | None = None
+    """A run's configuration.  A field set from the config file declares its
+    key with _key, and parse_config reads the keys in field order.  metadata()
+    writes the fields in this order too, so reordering them changes every
+    output file."""
+
+    mode: str = _key("run.mode", str, "trajectory", lambda v: _require(
+        v in MODES, f"run.mode must be one of {MODES}, got {v!r}"))
+    b_ext_tesla: float = _key("frame.b_ext_tesla", float, 10.0)
+    gamma: float = _key("frame.gamma", float, GAMMA_ELECTRON)
+    spin_halves: int = _key("frame.spin_halves", int, 1)
+    bath_kind: str | None = _key("bath.kind", str)
+    eta: float | None = _key("bath.eta", float)
+    preset: str | None = _key("bath.preset", str, check=lambda v: _require(
+        v in PRESETS, f"unknown bath.preset {v!r}"))
+    omega0: float | None = _key("bath.omega0", float)
+    gamma_width: float | None = _key("bath.gamma_width", float)
+    alpha: float | None = _key("bath.alpha", float)
+    noise_kind: str | None = _key(
+        "noise.kind", lambda s: None if s == "none" else s,
+        check=lambda v: _require(v is None or v in SPECTRUM_KINDS,
+                                 f"unknown noise.kind {v!r}"))
+    temperature: float = _key("noise.temperature", float, 0.0)
+    temperatures: tuple = _key("noise.temperatures", _parse_float_list, ())
+    cutoff: float | None = _key("noise.cutoff", float)
+    dt: float = _key("run.dt", float, 0.15, lambda v: _require(
+        v > 0, "run.dt must be positive"))
+    t_max: float | None = _key("run.t_max", float)
+    n_traj: int = _key("run.n_traj", int, DESK_N_TRAJ)
+    n_replicas: int = _key("run.n_replicas", int, 1)
+    seed: int = _key("run.seed", int, 0)
+    initial_spin: tuple = _key(
+        "run.initial_spin", _parse_float_list, (-1.0, 0.0, 0.0),
+        lambda v: _require(len(v) == 3,
+                           "run.initial_spin must have three components"))
+    methods: tuple = _key(
+        "run.methods", _parse_names, METHOD_TAGS, lambda v: _require(
+            set(v) <= set(METHOD_TAGS),
+            f"unknown methods {[m for m in v if m not in METHOD_TAGS]}; "
+            f"choose from {METHOD_TAGS}"))
+    downsample: int = _key("run.downsample", int, 1, lambda v: _require(
+        v >= 1, "run.downsample must be >= 1"))
+    workers: int = _key("run.workers", int, 1, lambda v: _require(
+        v >= 1, "run.workers must be >= 1"))
+    out_path: str | None = _key("output.path", str)
     dump_noise: bool = False
 
     def frame(self) -> UnitFrame:
@@ -102,10 +134,6 @@ class ExperimentConfig:
         return [f"version={__version__}"] + pairs
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate an INI-style experiment description."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -114,89 +142,40 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as err:
         raise ConfigurationError(f"malformed config: {err}") from err
 
+    keyed = [f for f in dataclasses.fields(ExperimentConfig) if f.metadata]
+    keys = {f.metadata["key"] for f in keyed}
+    sections = {key.split(".")[0] for key in keys}
     unknown = []
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             unknown.append(section)
             continue
-        unknown.extend(f"{section}.{key}" for key in parser[section]
-                       if key not in _SCHEMA[section])
+        unknown.extend(f"{section}.{name}" for name in parser[section]
+                       if f"{section}.{name}" not in keys)
     if unknown:
         raise ConfigurationError("unknown config keys: " + ", ".join(sorted(unknown)))
 
     cfg = ExperimentConfig()
+    for f in keyed:
+        key, cast, check = (f.metadata[k] for k in ("key", "cast", "check"))
+        section, name = key.split(".")
+        if not parser.has_option(section, name):
+            continue
+        raw = parser.get(section, name)
+        try:
+            value = cast(raw)
+        except ValueError as err:
+            raise ConfigurationError(f"bad value for {key}: {raw!r}") from err
+        if cast in (float, _parse_float_list):
+            # checked here, since a mode or bath may leave the key unused
+            require_finite(**{name: value})
+        if check is not None:
+            check(value)
+        setattr(cfg, f.name, value)
 
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                value = cast(raw)
-            except Exception as err:
-                raise ConfigurationError(f"bad value for {section}.{key}: {raw!r}") from err
-            if cast in (float, _parse_float_list):
-                # checked here, since a mode or bath may leave the key unused
-                require_finite(**{key: value})
-            return value
-        return default
-
-    cfg.b_ext_tesla = get("frame", "b_ext_tesla", float, cfg.b_ext_tesla)
-    cfg.gamma = get("frame", "gamma", float, cfg.gamma)
-    cfg.spin_halves = get("frame", "spin_halves", int, cfg.spin_halves)
-
-    if parser.has_section("bath") and parser.options("bath"):
-        cfg.bath_kind = get("bath", "kind", str, None)
-        if cfg.bath_kind not in ("ohmic", "lorentzian"):
-            raise ConfigurationError(
-                f"bath.kind must be 'ohmic' or 'lorentzian', got {cfg.bath_kind!r}")
-        cfg.eta = get("bath", "eta", float, None)
-        preset = get("bath", "preset", str, None)
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ConfigurationError(f"unknown bath.preset {preset!r}")
-            cfg.preset = preset
-        cfg.omega0 = get("bath", "omega0", float, None)
-        cfg.gamma_width = get("bath", "gamma_width", float, None)
-        cfg.alpha = get("bath", "alpha", float, None)
-
-    kind = get("noise", "kind", str, None)
-    if kind is not None and kind != "none":
-        if kind not in SPECTRUM_KINDS:
-            raise ConfigurationError(f"unknown noise.kind {kind!r}")
-        cfg.noise_kind = kind
-    cfg.temperature = get("noise", "temperature", float, cfg.temperature)
-    cfg.temperatures = get("noise", "temperatures", _parse_float_list,
-                           cfg.temperatures)
-    cfg.cutoff = get("noise", "cutoff", float, None)
-
-    cfg.mode = get("run", "mode", str, cfg.mode)
-    if cfg.mode not in MODES:
-        raise ConfigurationError(f"run.mode must be one of {MODES}, got {cfg.mode!r}")
-    cfg.dt = get("run", "dt", float, cfg.dt)
-    if not cfg.dt > 0:
-        raise ConfigurationError("run.dt must be positive")
-    cfg.t_max = get("run", "t_max", float, cfg.t_max)
-    cfg.n_traj = get("run", "n_traj", int, cfg.n_traj)
-    cfg.n_replicas = get("run", "n_replicas", int, cfg.n_replicas)
-    cfg.seed = get("run", "seed", int, cfg.seed)
-    cfg.workers = get("run", "workers", int, cfg.workers)
-    if cfg.workers < 1:
-        raise ConfigurationError("run.workers must be >= 1")
-    cfg.downsample = get("run", "downsample", int, cfg.downsample)
-    if cfg.downsample < 1:
-        raise ConfigurationError("run.downsample must be >= 1")
-    spin = get("run", "initial_spin", _parse_float_list, cfg.initial_spin)
-    if len(spin) != 3:
-        raise ConfigurationError("run.initial_spin must have three components")
-    cfg.initial_spin = spin
-    methods = get("run", "methods", lambda s: tuple(
-        m.strip() for m in s.split(",") if m.strip()), cfg.methods)
-    bad = [m for m in methods if m not in METHOD_TAGS]
-    if bad:
-        raise ConfigurationError(f"unknown methods {bad}; choose from {METHOD_TAGS}")
-    cfg.methods = methods
-
-    cfg.out_path = get("output", "path", str, None)
-
+    if parser.has_section("bath") and parser.options("bath"):  # needs a kind
+        _require(cfg.bath_kind in ("ohmic", "lorentzian"), "bath.kind must be "
+                 f"'ohmic' or 'lorentzian', got {cfg.bath_kind!r}")
     if cfg.mode in ("trajectory", "ensemble"):
         cfg.bath()        # raises "bath required" / field errors now
         cfg.integrator_config()
@@ -253,12 +232,11 @@ def sweep_table(temperatures, frame: UnitFrame, results) -> tuple[str, list]:
     return ",".join(names), [cols]
 
 
-def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def _run_trajectory(cfg: ExperimentConfig, path: Path) -> None:
     icfg = cfg.integrator_config()
     sys_ = SpinSystem.single(cfg.initial_spin)
     traces = noise_traces(icfg, cfg.seed, sys_.n_sites)
     traj = integrate(sys_, icfg, seed=cfg.seed, traces=traces)
-    path = Path(cfg.out_path) if cfg.out_path else out_dir / "trajectory.csv"
     ds = cfg.downsample
     times = traj.times[::ds]
     blocks = ((times, np.broadcast_to(site, times.shape), *spins[::ds].T,
@@ -271,22 +249,19 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> Path:
                       [f"dt={tr.dt!r}", f"provenance={tr.provenance[1]}"],
                       "t,b_x,b_y,b_z",
                       [(np.arange(tr.n_samples) * tr.dt, *tr.components)])
-    return path
 
 
-def _run_ensemble(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def _run_ensemble(cfg: ExperimentConfig, path: Path) -> None:
     icfg = cfg.integrator_config()
     res = ensemble_average(icfg, cfg.n_traj, base_seed=cfg.seed,
                            initial_spin=cfg.initial_spin, workers=cfg.workers)
-    path = Path(cfg.out_path) if cfg.out_path else out_dir / "ensemble.csv"
     meta = cfg.metadata() + [f"n_used={res.n_used}",
                              f"n_diverged={len(res.diverged)}"]
     write_csv(path, meta, "t,sz_mean,sz_stderr",
               [(res.times, res.sz_mean, res.sz_stderr)])
-    return path
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def _run_sweep(cfg: ExperimentConfig, path: Path) -> None:
     frame = cfg.frame()
     t_max = cfg.t_max if cfg.t_max is not None else DESK_SWEEP_T_MAX
     results = temperature_sweep(cfg.methods, cfg.temperatures, frame,
@@ -294,16 +269,14 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
                                 n_replicas=cfg.n_replicas, cutoff=cfg.cutoff,
                                 initial_spin=cfg.initial_spin,
                                 workers=cfg.workers)
-    path = Path(cfg.out_path) if cfg.out_path else out_dir / "sweep.csv"
     write_csv(path, cfg.metadata(),
               *sweep_table(cfg.temperatures, frame, results))
-    return path
 
 
 def _validate_checks(cfg: ExperimentConfig):
     """Invariant suite: yields (name, passed, detail).  The measurements are
     library functions; the sizes and gates here are validate's own."""
-    frame = build_unit_frame(cfg.b_ext_tesla, cfg.gamma, cfg.spin_halves)
+    frame = cfg.frame()
 
     for name, res in fdt_residuals().items():
         yield f"fdt-identity-{name}", res < 1e-10, f"residual={res:.2e}"
@@ -362,16 +335,17 @@ def _run_validate(cfg: ExperimentConfig) -> int:
 
 def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> int:
     """Execute the configured job; returns a process exit status."""
-    out = Path(out_dir)
+    path = (Path(cfg.out_path) if cfg.out_path
+            else Path(out_dir) / f"{cfg.mode}.csv")
     try:
         if cfg.mode == "validate":
             return _run_validate(cfg)
         if cfg.mode == "trajectory":
-            path = _run_trajectory(cfg, out)
+            _run_trajectory(cfg, path)
         elif cfg.mode == "ensemble":
-            path = _run_ensemble(cfg, out)
+            _run_ensemble(cfg, path)
         elif cfg.mode == "sweep":
-            path = _run_sweep(cfg, out)
+            _run_sweep(cfg, path)
         else:
             raise ConfigurationError(f"unknown mode {cfg.mode!r}")
     except (IntegrationDivergedError, OSError) as err:

@@ -135,22 +135,21 @@ def build_spectrum(cfg: IntegratorConfig) -> PowerSpectrum | None:
 # (Lanes), and one sink per recorded channel.  The exchange field of coupled
 # sites is sent into the kernel, a generator (see llg_kernel).
 
-class _StepBlowup(ArithmeticError):
-    pass
-
-
 def _rot_coeffs(th2):
-    """Rodrigues coefficients sin(th)/th, (1-cos(th))/th^2, series-safe near 0."""
+    """Rodrigues coefficients sin(th)/th, (1-cos(th))/th^2, series-safe near 0.
+
+    A blown-up state (th2 inf or NaN) gives NaN, which the step carries to
+    its check, as on array lanes."""
     if th2 < 1e-16:
         return 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
-    if not th2 * 0.0 == 0.0:  # inf or NaN: the state blew up mid-step
-        raise _StepBlowup
+    if not th2 * 0.0 == 0.0:  # math.sin(inf) would raise
+        return math.nan, math.nan
     th = math.sqrt(th2)
     return math.sin(th) / th, (1.0 - math.cos(th)) / th2
 
 
 def _rot_coeffs_lanes(th2):
-    """_rot_coeffs on arrays; a blown-up lane turns NaN instead of raising."""
+    """_rot_coeffs on arrays; a blown-up lane turns NaN."""
     th = np.sqrt(th2)
     a = np.sin(th) / th
     b = (1.0 - np.cos(th)) / th2
@@ -236,89 +235,85 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
     h6 = h / 6.0
     ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
     b1x = bxl[0]; b1y = byl[0]; b1z = 1.0 + bzl[0]
-    i = -1
-    try:
-        for i in range(n_steps):
-            b0x = b1x; b0y = b1y; b0z = b1z
-            b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = 1.0 + bzl[i + 1]
-            bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
+    for i in range(n_steps):
+        b0x = b1x; b0y = b1y; b0z = b1z
+        b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = 1.0 + bzl[i + 1]
+        bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
-            fx = b0x; fy = b0y; fz = b0z
-            if coupled:
-                jx, jy, jz = yield sx, sy, sz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            o1x = -gp * fx + lam * (sy * fz - sz * fy)
-            o1y = -gp * fy + lam * (sz * fx - sx * fz)
-            o1z = -gp * fz + lam * (sx * fy - sy * fx)
+        fx = b0x; fy = b0y; fz = b0z
+        if coupled:
+            jx, jy, jz = yield sx, sy, sz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        o1x = -gp * fx + lam * (sy * fz - sz * fy)
+        o1y = -gp * fy + lam * (sz * fx - sx * fz)
+        o1z = -gp * fz + lam * (sx * fy - sy * fx)
 
-            ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            px = sx + a * cx + b * (uy * cz - uz * cy)
-            py = sy + a * cy + b * (uz * cx - ux * cz)
-            pz = sz + a * cz + b * (ux * cy - uy * cx)
-            fx = bhx; fy = bhy; fz = bhz
-            if coupled:
-                jx, jy, jz = yield px, py, pz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            rx = -gp * fx + lam * (py * fz - pz * fy)
-            ry = -gp * fy + lam * (pz * fx - px * fz)
-            rz = -gp * fz + lam * (px * fy - py * fx)
-            cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-            o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-            o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-            o2z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        px = sx + a * cx + b * (uy * cz - uz * cy)
+        py = sy + a * cy + b * (uz * cx - ux * cz)
+        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        fx = bhx; fy = bhy; fz = bhz
+        if coupled:
+            jx, jy, jz = yield px, py, pz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        rx = -gp * fx + lam * (py * fz - pz * fy)
+        ry = -gp * fy + lam * (pz * fx - px * fz)
+        rz = -gp * fz + lam * (px * fy - py * fx)
+        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
+        o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
+        o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
+        o2z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
 
-            ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            px = sx + a * cx + b * (uy * cz - uz * cy)
-            py = sy + a * cy + b * (uz * cx - ux * cz)
-            pz = sz + a * cz + b * (ux * cy - uy * cx)
-            fx = bhx; fy = bhy; fz = bhz
-            if coupled:
-                jx, jy, jz = yield px, py, pz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            rx = -gp * fx + lam * (py * fz - pz * fy)
-            ry = -gp * fy + lam * (pz * fx - px * fz)
-            rz = -gp * fz + lam * (px * fy - py * fx)
-            cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-            o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-            o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-            o3z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        px = sx + a * cx + b * (uy * cz - uz * cy)
+        py = sy + a * cy + b * (uz * cx - ux * cz)
+        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        fx = bhx; fy = bhy; fz = bhz
+        if coupled:
+            jx, jy, jz = yield px, py, pz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        rx = -gp * fx + lam * (py * fz - pz * fy)
+        ry = -gp * fy + lam * (pz * fx - px * fz)
+        rz = -gp * fz + lam * (px * fy - py * fx)
+        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
+        o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
+        o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
+        o3z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
 
-            ux = h * o3x; uy = h * o3y; uz = h * o3z
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            px = sx + a * cx + b * (uy * cz - uz * cy)
-            py = sy + a * cy + b * (uz * cx - ux * cz)
-            pz = sz + a * cz + b * (ux * cy - uy * cx)
-            fx = b1x; fy = b1y; fz = b1z
-            if coupled:
-                jx, jy, jz = yield px, py, pz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            rx = -gp * fx + lam * (py * fz - pz * fy)
-            ry = -gp * fy + lam * (pz * fx - px * fz)
-            rz = -gp * fz + lam * (px * fy - py * fx)
-            cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-            o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-            o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-            o4z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ux = h * o3x; uy = h * o3y; uz = h * o3z
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        px = sx + a * cx + b * (uy * cz - uz * cy)
+        py = sy + a * cy + b * (uz * cx - ux * cz)
+        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        fx = b1x; fy = b1y; fz = b1z
+        if coupled:
+            jx, jy, jz = yield px, py, pz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        rx = -gp * fx + lam * (py * fz - pz * fy)
+        ry = -gp * fy + lam * (pz * fx - px * fz)
+        rz = -gp * fz + lam * (px * fy - py * fx)
+        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
+        o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
+        o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
+        o4z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
 
-            ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
-            uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
-            uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            sx = sx + a * cx + b * (uy * cz - uz * cy)
-            sy = sy + a * cy + b * (uz * cx - ux * cz)
-            sz = sz + a * cz + b * (ux * cy - uy * cx)
+        ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
+        uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
+        uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        sx = sx + a * cx + b * (uy * cz - uz * cy)
+        sy = sy + a * cy + b * (uz * cx - ux * cz)
+        sz = sz + a * cz + b * (ux * cy - uy * cx)
 
-            nrm2 = sx * sx + sy * sy + sz * sz
-            check(i + 1, nrm2)
-            ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
-    except (_StepBlowup, OverflowError):
-        raise IntegrationDivergedError(i + 1) from None
+        nrm2 = sx * sx + sy * sy + sz * sz
+        check(i + 1, nrm2)
+        ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
 
 
 def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
@@ -345,110 +340,106 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
     ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
     avx(vx); avy(vy); avz(vz)
     b1x = bxl[0]; b1y = byl[0]; b1z = bzl[0]
-    i = -1
-    try:
-        for i in range(n_steps):
-            b0x = b1x; b0y = b1y; b0z = b1z
-            b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = bzl[i + 1]
-            bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
+    for i in range(n_steps):
+        b0x = b1x; b0y = b1y; b0z = b1z
+        b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = bzl[i + 1]
+        bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
 
-            fx = b0x + vx; fy = b0y + vy; fz = 1.0 + b0z + vz
-            if coupled:
-                jx, jy, jz = yield sx, sy, sz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            o1x = -g * fx; o1y = -g * fy; o1z = -g * fz
-            dv1x = wx; dv1y = wy; dv1z = wz
-            dw1x = -w0sq * vx - gam * wx + al * sx
-            dw1y = -w0sq * vy - gam * wy + al * sy
-            dw1z = -w0sq * vz - gam * wz + al * sz
+        fx = b0x + vx; fy = b0y + vy; fz = 1.0 + b0z + vz
+        if coupled:
+            jx, jy, jz = yield sx, sy, sz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        o1x = -g * fx; o1y = -g * fy; o1z = -g * fz
+        dv1x = wx; dv1y = wy; dv1z = wz
+        dw1x = -w0sq * vx - gam * wx + al * sx
+        dw1y = -w0sq * vy - gam * wy + al * sy
+        dw1z = -w0sq * vz - gam * wz + al * sz
 
-            ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            px = sx + a * cx + b * (uy * cz - uz * cy)
-            py = sy + a * cy + b * (uz * cx - ux * cz)
-            pz = sz + a * cz + b * (ux * cy - uy * cx)
-            v2x = vx + h2 * dv1x; v2y = vy + h2 * dv1y; v2z = vz + h2 * dv1z
-            w2x = wx + h2 * dw1x; w2y = wy + h2 * dw1y; w2z = wz + h2 * dw1z
-            fx = bhx + v2x; fy = bhy + v2y; fz = 1.0 + bhz + v2z
-            if coupled:
-                jx, jy, jz = yield px, py, pz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            rx = -g * fx; ry = -g * fy; rz = -g * fz
-            cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-            o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-            o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-            o2z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
-            dv2x = w2x; dv2y = w2y; dv2z = w2z
-            dw2x = -w0sq * v2x - gam * w2x + al * px
-            dw2y = -w0sq * v2y - gam * w2y + al * py
-            dw2z = -w0sq * v2z - gam * w2z + al * pz
+        ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        px = sx + a * cx + b * (uy * cz - uz * cy)
+        py = sy + a * cy + b * (uz * cx - ux * cz)
+        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        v2x = vx + h2 * dv1x; v2y = vy + h2 * dv1y; v2z = vz + h2 * dv1z
+        w2x = wx + h2 * dw1x; w2y = wy + h2 * dw1y; w2z = wz + h2 * dw1z
+        fx = bhx + v2x; fy = bhy + v2y; fz = 1.0 + bhz + v2z
+        if coupled:
+            jx, jy, jz = yield px, py, pz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        rx = -g * fx; ry = -g * fy; rz = -g * fz
+        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
+        o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
+        o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
+        o2z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        dv2x = w2x; dv2y = w2y; dv2z = w2z
+        dw2x = -w0sq * v2x - gam * w2x + al * px
+        dw2y = -w0sq * v2y - gam * w2y + al * py
+        dw2z = -w0sq * v2z - gam * w2z + al * pz
 
-            ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            px = sx + a * cx + b * (uy * cz - uz * cy)
-            py = sy + a * cy + b * (uz * cx - ux * cz)
-            pz = sz + a * cz + b * (ux * cy - uy * cx)
-            v3x = vx + h2 * dv2x; v3y = vy + h2 * dv2y; v3z = vz + h2 * dv2z
-            w3x = wx + h2 * dw2x; w3y = wy + h2 * dw2y; w3z = wz + h2 * dw2z
-            fx = bhx + v3x; fy = bhy + v3y; fz = 1.0 + bhz + v3z
-            if coupled:
-                jx, jy, jz = yield px, py, pz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            rx = -g * fx; ry = -g * fy; rz = -g * fz
-            cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-            o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-            o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-            o3z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
-            dv3x = w3x; dv3y = w3y; dv3z = w3z
-            dw3x = -w0sq * v3x - gam * w3x + al * px
-            dw3y = -w0sq * v3y - gam * w3y + al * py
-            dw3z = -w0sq * v3z - gam * w3z + al * pz
+        ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        px = sx + a * cx + b * (uy * cz - uz * cy)
+        py = sy + a * cy + b * (uz * cx - ux * cz)
+        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        v3x = vx + h2 * dv2x; v3y = vy + h2 * dv2y; v3z = vz + h2 * dv2z
+        w3x = wx + h2 * dw2x; w3y = wy + h2 * dw2y; w3z = wz + h2 * dw2z
+        fx = bhx + v3x; fy = bhy + v3y; fz = 1.0 + bhz + v3z
+        if coupled:
+            jx, jy, jz = yield px, py, pz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        rx = -g * fx; ry = -g * fy; rz = -g * fz
+        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
+        o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
+        o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
+        o3z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        dv3x = w3x; dv3y = w3y; dv3z = w3z
+        dw3x = -w0sq * v3x - gam * w3x + al * px
+        dw3y = -w0sq * v3y - gam * w3y + al * py
+        dw3z = -w0sq * v3z - gam * w3z + al * pz
 
-            ux = h * o3x; uy = h * o3y; uz = h * o3z
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            px = sx + a * cx + b * (uy * cz - uz * cy)
-            py = sy + a * cy + b * (uz * cx - ux * cz)
-            pz = sz + a * cz + b * (ux * cy - uy * cx)
-            v4x = vx + h * dv3x; v4y = vy + h * dv3y; v4z = vz + h * dv3z
-            w4x = wx + h * dw3x; w4y = wy + h * dw3y; w4z = wz + h * dw3z
-            fx = b1x + v4x; fy = b1y + v4y; fz = 1.0 + b1z + v4z
-            if coupled:
-                jx, jy, jz = yield px, py, pz
-                fx = fx + jx; fy = fy + jy; fz = fz + jz
-            rx = -g * fx; ry = -g * fy; rz = -g * fz
-            cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-            o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-            o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-            o4z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
-            dv4x = w4x; dv4y = w4y; dv4z = w4z
-            dw4x = -w0sq * v4x - gam * w4x + al * px
-            dw4y = -w0sq * v4y - gam * w4y + al * py
-            dw4z = -w0sq * v4z - gam * w4z + al * pz
+        ux = h * o3x; uy = h * o3y; uz = h * o3z
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        px = sx + a * cx + b * (uy * cz - uz * cy)
+        py = sy + a * cy + b * (uz * cx - ux * cz)
+        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        v4x = vx + h * dv3x; v4y = vy + h * dv3y; v4z = vz + h * dv3z
+        w4x = wx + h * dw3x; w4y = wy + h * dw3y; w4z = wz + h * dw3z
+        fx = b1x + v4x; fy = b1y + v4y; fz = 1.0 + b1z + v4z
+        if coupled:
+            jx, jy, jz = yield px, py, pz
+            fx = fx + jx; fy = fy + jy; fz = fz + jz
+        rx = -g * fx; ry = -g * fy; rz = -g * fz
+        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
+        o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
+        o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
+        o4z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        dv4x = w4x; dv4y = w4y; dv4z = w4z
+        dw4x = -w0sq * v4x - gam * w4x + al * px
+        dw4y = -w0sq * v4y - gam * w4y + al * py
+        dw4z = -w0sq * v4z - gam * w4z + al * pz
 
-            ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
-            uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
-            uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
-            a, b = coeffs(ux * ux + uy * uy + uz * uz)
-            cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-            sx = sx + a * cx + b * (uy * cz - uz * cy)
-            sy = sy + a * cy + b * (uz * cx - ux * cz)
-            sz = sz + a * cz + b * (ux * cy - uy * cx)
-            vx = vx + h6 * (dv1x + 2.0 * (dv2x + dv3x) + dv4x)
-            vy = vy + h6 * (dv1y + 2.0 * (dv2y + dv3y) + dv4y)
-            vz = vz + h6 * (dv1z + 2.0 * (dv2z + dv3z) + dv4z)
-            wx = wx + h6 * (dw1x + 2.0 * (dw2x + dw3x) + dw4x)
-            wy = wy + h6 * (dw1y + 2.0 * (dw2y + dw3y) + dw4y)
-            wz = wz + h6 * (dw1z + 2.0 * (dw2z + dw3z) + dw4z)
+        ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
+        uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
+        uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
+        a, b = coeffs(ux * ux + uy * uy + uz * uz)
+        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
+        sx = sx + a * cx + b * (uy * cz - uz * cy)
+        sy = sy + a * cy + b * (uz * cx - ux * cz)
+        sz = sz + a * cz + b * (ux * cy - uy * cx)
+        vx = vx + h6 * (dv1x + 2.0 * (dv2x + dv3x) + dv4x)
+        vy = vy + h6 * (dv1y + 2.0 * (dv2y + dv3y) + dv4y)
+        vz = vz + h6 * (dv1z + 2.0 * (dv2z + dv3z) + dv4z)
+        wx = wx + h6 * (dw1x + 2.0 * (dw2x + dw3x) + dw4x)
+        wy = wy + h6 * (dw1y + 2.0 * (dw2y + dw3y) + dw4y)
+        wz = wz + h6 * (dw1z + 2.0 * (dw2z + dw3z) + dw4z)
 
-            nrm2 = sx * sx + sy * sy + sz * sz
-            check(i + 1, nrm2 + vx + vy + vz + wx + wy + wz)
-            ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
-            avx(vx); avy(vy); avz(vz)
-    except (_StepBlowup, OverflowError):
-        raise IntegrationDivergedError(i + 1) from None
+        nrm2 = sx * sx + sy * sy + sz * sz
+        check(i + 1, nrm2 + vx + vy + vz + wx + wy + wz)
+        ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
+        avx(vx); avy(vy); avz(vz)
 
 
 # --------------------------------------------------------------------------

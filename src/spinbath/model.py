@@ -82,7 +82,8 @@ class UnitFrame:
                 f"hbar * |gamma_si| * b_ext_tesla must be a normal finite "
                 f"float, got {quantum!r} J at gamma_si = {self.gamma_si!r}, "
                 f"b_ext_tesla = {self.b_ext_tesla!r}")
-        if int(self.n_halves) != self.n_halves or self.n_halves < 1:
+        # n % 1 is NaN for a NaN or infinite n
+        if not (self.n_halves % 1 == 0 and self.n_halves >= 1):
             raise ParameterError("n_halves must be an integer >= 1")
 
     @property
@@ -114,8 +115,12 @@ class UnitFrame:
 
 def build_unit_frame(b_ext_tesla: float, gamma_si: float = GAMMA_ELECTRON,
                      n_half_hbar: int = 1) -> UnitFrame:
-    """Validated UnitFrame from field magnitude, gyromagnetic ratio, spin halves."""
-    return UnitFrame(b_ext_tesla, gamma_si, int(n_half_hbar))
+    """Validated UnitFrame from field magnitude, gyromagnetic ratio, spin halves.
+
+    An integral n_half_hbar is stored as an int; any other value raises."""
+    if n_half_hbar % 1 == 0:
+        n_half_hbar = int(n_half_hbar)
+    return UnitFrame(b_ext_tesla, gamma_si, n_half_hbar)
 
 
 @dataclass(frozen=True)

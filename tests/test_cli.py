@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import spinbath
 from spinbath import cli
-from spinbath.cli import PRESETS, main, parse_config, run, write_csv
+from spinbath.cli import (PRESETS, ExperimentConfig, main, parse_config, run,
+                          write_csv)
 from spinbath.coupling import SPECTRUM_KINDS
 from spinbath.dynamics import integrate, noise_traces
 from spinbath.experiments import METHOD_TAGS
@@ -111,10 +113,75 @@ class TestParseConfig:
             parse_config(BASE.replace("mode = trajectory", "mode = sweep"))
 
     def test_unknown_method_listed(self):
-        text = BASE.replace("mode = trajectory", "mode = sweep") + \
-            "\n[noise]\ntemperatures = 0, 1\n"
-        with pytest.raises(ConfigurationError):
+        text = BASE.replace("mode = trajectory", "mode = sweep").replace(
+            "temperature = 1.0", "temperatures = 0, 1")
+        with pytest.raises(ConfigurationError,
+                           match=r"^unknown methods \['llg-magic'\]; "):
             parse_config(text.replace("[run]", "[run]\nmethods = llg-magic\n"))
+
+
+KEYED_FIELDS = {f.metadata["key"]: f for f in dataclasses.fields(ExperimentConfig)
+                if f.metadata}
+
+# every config key: its text in a config, and the value its field then holds,
+# which is not the field's default
+KEY_VALUES = {
+    "run.mode": ("ensemble", "ensemble"),
+    "frame.b_ext_tesla": ("2.5", 2.5),
+    "frame.gamma": ("1.76e11", 1.76e11),
+    "frame.spin_halves": ("3", 3),
+    "bath.kind": ("lorentzian", "lorentzian"),
+    "bath.eta": ("0.05", 0.05),
+    "bath.preset": ("set1", "set1"),
+    "bath.omega0": ("2.0", 2.0),
+    "bath.gamma_width": ("0.25", 0.25),
+    "bath.alpha": ("0.5", 0.5),
+    "noise.kind": ("quantum-ohmic", "quantum-ohmic"),
+    "noise.temperature": ("3.5", 3.5),
+    "noise.temperatures": ("2, 3", (2.0, 3.0)),
+    "noise.cutoff": ("12.0", 12.0),
+    "run.dt": ("0.1", 0.1),
+    "run.t_max": ("30.0", 30.0),
+    "run.n_traj": ("7", 7),
+    "run.n_replicas": ("5", 5),
+    "run.seed": ("9", 9),
+    "run.initial_spin": ("0, 0, 1", (0.0, 0.0, 1.0)),
+    "run.methods": ("llg-quantum, lorentzian-set1",
+                    ("llg-quantum", "lorentzian-set1")),
+    "run.downsample": ("4", 4),
+    "run.workers": ("2", 2),
+    "output.path": ("out/x.csv", "out/x.csv"),
+}
+
+
+@pytest.mark.parametrize("key", list(KEYED_FIELDS))
+def test_every_key_reaches_its_field(key):
+    assert set(KEY_VALUES) == set(KEYED_FIELDS)
+    text, expected = KEY_VALUES[key]
+    field = KEYED_FIELDS[key]
+    assert expected != field.default
+    sections = {"bath": {"kind": "ohmic"},
+                "noise": {"kind": "classical-ohmic", "temperatures": "0, 1"},
+                "run": {"mode": "sweep"}}
+    section, name = key.split(".")
+    sections.setdefault(section, {})[name] = text
+    cfg = parse_config("".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for s, kv in sections.items()))
+    value = getattr(cfg, field.name)
+    assert value == expected and type(value) is type(expected)
+
+
+def test_readme_config_parses_and_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    parse_config(block)
+    parts = re.split(r"(?m)^\[(\w+)\]$", block)
+    sections = dict(zip(parts[1::2], parts[2::2]))
+    missing = [key for key in KEYED_FIELDS
+               if not re.search(rf"\b{key.split('.')[1]}\b",
+                                sections.get(key.split(".")[0], ""))]
+    assert missing == []
 
 
 class TestRunModes:

@@ -41,12 +41,19 @@ class TestUnitFrame:
         # hbar |gamma| B must be a normal finite float: 0, subnormal, inf
         dict(gamma_si=1e-300), dict(b_ext_tesla=1e-300),
         dict(b_ext_tesla=1e300),
+        # the spin length is not truncated: 1.5 halves is no spin
+        dict(n_half_hbar=1.5), dict(n_half_hbar=math.nan),
+        dict(n_half_hbar=math.inf),
     ])
     def test_invalid_parameters(self, bad):
         kwargs = dict(b_ext_tesla=10.0, gamma_si=GAMMA_ELECTRON, n_half_hbar=1)
         kwargs.update(bad)
         with pytest.raises(ParameterError):
             build_unit_frame(**kwargs)
+
+    def test_integral_spin_length_stored_as_int(self):
+        frame = build_unit_frame(10.0, GAMMA_ELECTRON, 2.0)
+        assert frame.n_halves == 2 and type(frame.n_halves) is int
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name,key", [("b_ext_tesla", "b_ext_tesla"),
