@@ -12,7 +12,6 @@ from pathlib import Path
 
 from spinbath import SpinSystem, build_unit_frame, integrate
 from spinbath.cli import write_csv
-from spinbath.dynamics import build_spectrum
 from spinbath.experiments import METHOD_TAGS, method_config
 from spinbath.noise import trace_for_run
 
@@ -30,15 +29,17 @@ def main():
 
     for n_halves, temp in PAIRS:
         frame = build_unit_frame(10.0, -1.76e11, n_halves)
+        configs = {method: method_config(method, frame, temp, dt=args.dt,
+                                         t_max=args.t_max)
+                   for method in METHOD_TAGS}
+        # a common lead-in, the longest any method needs, keeps the
+        # white-sample block identical across methods
+        lead_in = max(cfg.margin_time for cfg in configs.values())
         columns = {}
-        for method in METHOD_TAGS:
-            cfg = method_config(method, frame, temp, dt=args.dt,
-                                t_max=args.t_max)
-            # a common lead-in keeps the white-sample block identical across
-            # methods (the slowest bath needs 10 * tau_d = 40)
-            psd = build_spectrum(cfg)
-            traces = None if psd is None else [
-                trace_for_run(psd, args.seed, cfg.dt, cfg.n_steps, 40.0)]
+        for method, cfg in configs.items():
+            traces = None if cfg.spectrum is None else [
+                trace_for_run(cfg.spectrum, args.seed, cfg.dt, cfg.n_steps,
+                              lead_in)]
             traj = integrate(SpinSystem.single((-1, 0, 0)), cfg,
                              traces=traces)
             columns[f"{method}_sz"] = traj.sz()

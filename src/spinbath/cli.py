@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coupling import (DEFAULT_CUTOFF, SPECTRUM_KINDS, fdt_residuals,
-                       moment_quadrature_error, power_spectrum, psd_expansion)
+from .coupling import (SPECTRUM_KINDS, fdt_residuals, moment_quadrature_error,
+                       psd_expansion)
 from .dynamics import IntegratorConfig, integrate, noise_traces
 from .experiments import (DEFAULT_ETA, DESK_ENSEMBLE_T_MAX, DESK_N_TRAJ,
                           DESK_SWEEP_T_MAX, METHOD_TAGS, ensemble_average,
@@ -136,7 +136,9 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate an INI-style experiment description."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # "" names no section, so [DEFAULT] is an unknown section, not inherited
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -286,16 +288,13 @@ def _validate_checks(cfg: ExperimentConfig):
         yield f"kernel-moments-{name}", worst < 1e-6, f"max rel err={worst:.2e}"
 
     # quick spectral fidelity: banded Welch density vs target
-    kinds = [("classical-ohmic", OhmicParams(DEFAULT_ETA), 200.0, None),
-             ("quantum-ohmic", OhmicParams(DEFAULT_ETA), 1.0, 10.0),
-             ("quantum-lorentzian", SET1, 1.0, None),
-             ("quantum-lorentzian", SET2, 1.0, None)]
-    for i, (kind, params, temp, cut) in enumerate(kinds):
-        psd = power_spectrum(kind, params, temp, frame, cutoff=cut)
+    temps = (200.0, 1.0, 1.0, 1.0)
+    for i, (method, temp) in enumerate(zip(METHOD_TAGS, temps)):
+        psd = method_config(method, frame, temp).spectrum
         rel = banded_psd_error(
             psd, WhiteSeed(seed=1234 + i, n_samples=2 ** 18, dt=0.15),
             nperseg=2 ** 13, band=20)
-        label = kind if params is not SET2 else kind + "-set2"
+        label = psd.kind if psd.params is not SET2 else psd.kind + "-set2"
         yield f"noise-psd-{label}", rel < 0.15, f"max banded rel err={rel:.3f}"
 
     # norm conservation, all four methods, 1e4 steps at dt = 0.15
@@ -317,8 +316,7 @@ def _validate_checks(cfg: ExperimentConfig):
     # is the quantum-Ohmic density at eta = -kappa_1 = 50/2401
     om = np.linspace(-2.5, 2.5, 501)
     lead = psd_expansion(SET2, 0, om, 1.0, frame)
-    ohmic = power_spectrum("quantum-ohmic", OhmicParams(DEFAULT_ETA), 1.0,
-                           frame, cutoff=DEFAULT_CUTOFF)(om)
+    ohmic = method_config("llg-quantum", frame, 1.0).spectrum(om)
     gap = float(np.max(np.abs(lead - ohmic) / ohmic))
     yield "ohmic-limit-set2", gap <= 1e-12, f"max rel gap={gap:.2e}"
 

@@ -222,8 +222,8 @@ def fdt_residuals() -> dict:
     return res
 
 
-def moment_quadrature_error(p: LorentzianParams, max_m: int = 4) -> float:
-    """Largest relative gap, over m = 1..max_m, between the quadrature of
+def moment_quadrature_error(p: LorentzianParams) -> float:
+    """Largest relative gap, over m = 1..4, between the quadrature of
     tau^m K(tau) and its closed form (-1)^m m! kappa_m.
 
     The quadrature stops at 80/Gamma: tau^m amplifies the exponential tail,
@@ -231,12 +231,11 @@ def moment_quadrature_error(p: LorentzianParams, max_m: int = 4) -> float:
     """
     # imported here, so that importing spinbath does not load scipy
     from scipy.integrate import quad
-    kappa = kernel_moments(p, max_m=max_m).kappa
     worst = 0.0
-    for m in range(1, max_m + 1):
+    for m, kappa_m in enumerate(kernel_moments(p, max_m=4).kappa, start=1):
         num, _ = quad(lambda tau, m=m: tau ** m * lorentzian_kernel_time(tau, p),
                       0.0, 80.0 / p.gamma_width, limit=800)
-        closed = (-1.0) ** m * math.factorial(m) * kappa[m - 1]
+        closed = (-1.0) ** m * math.factorial(m) * kappa_m
         worst = max(worst, abs(num - closed) / abs(closed))
     return worst
 

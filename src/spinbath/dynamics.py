@@ -29,24 +29,25 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .coupling import DEFAULT_CUTOFF, PowerSpectrum, power_spectrum
 from .model import (BathParams, ConfigurationError, IntegrationDivergedError,
-                    LorentzianParams, OhmicParams, ParameterError, SpinSystem,
-                    UnitFrame, require_finite)
+                    LorentzianParams, ParameterError, SpinSystem, UnitFrame,
+                    require_finite)
 from .noise import site_seed, trace_for_run
-
-OHMIC_NOISE_KINDS = ("classical-ohmic", "quantum-ohmic")
-LORENTZIAN_NOISE_KINDS = ("quantum-lorentzian", "classical-lorentzian")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Everything integrate() needs besides the initial state and seed."""
+    """Everything integrate() needs besides the initial state and seed.
+
+    spectrum, built here from the other fields, is the noise spectrum of
+    noise_kind (quantum-ohmic cuts off at DEFAULT_CUTOFF unless told), or
+    None without noise."""
 
     frame: UnitFrame
     bath: BathParams
@@ -55,6 +56,8 @@ class IntegratorConfig:
     dt: float = 0.15
     t_max: float = 150.0
     cutoff: float | None = None
+    spectrum: PowerSpectrum | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(dt=self.dt, t_max=self.t_max,
@@ -75,24 +78,17 @@ class IntegratorConfig:
                 f"{self.dt!r} needs {samples:.3g} samples, noise lead-in "
                 f"included, more than one array can index")
         if self.noise_kind is not None:
-            if isinstance(self.bath, OhmicParams):
-                allowed = OHMIC_NOISE_KINDS
-            else:
-                allowed = LORENTZIAN_NOISE_KINDS
-            if self.noise_kind not in allowed:
-                raise ConfigurationError(
-                    f"noise kind {self.noise_kind!r} does not match the "
-                    f"{type(self.bath).__name__} bath (allowed: {allowed})")
+            cutoff = self.cutoff
+            if cutoff is None and self.noise_kind == "quantum-ohmic":
+                cutoff = DEFAULT_CUTOFF
+            # a global of this module, so a tracer that wraps it sees this
+            object.__setattr__(self, "spectrum", power_spectrum(
+                self.noise_kind, self.bath, self.temperature, self.frame,
+                cutoff=cutoff))
 
     @property
     def n_steps(self) -> int:
         return max(1, int(round(self.t_max / self.dt)))
-
-    @property
-    def effective_cutoff(self) -> float | None:
-        if self.cutoff is not None:
-            return self.cutoff
-        return DEFAULT_CUTOFF if self.noise_kind == "quantum-ohmic" else None
 
     @property
     def margin_time(self) -> float:
@@ -114,13 +110,6 @@ class Trajectory:
 
     def max_norm_drift(self) -> float:
         return float(np.max(np.abs(self.norms - 1.0)))
-
-
-def build_spectrum(cfg: IntegratorConfig) -> PowerSpectrum | None:
-    if cfg.noise_kind is None:
-        return None
-    return power_spectrum(cfg.noise_kind, cfg.bath, cfg.temperature,
-                          cfg.frame, cutoff=cfg.effective_cutoff)
 
 
 # --------------------------------------------------------------------------
@@ -445,11 +434,11 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
 # --------------------------------------------------------------------------
 
 def noise_traces(cfg: IntegratorConfig, seed: int, n_sites: int):
-    psd = build_spectrum(cfg)
-    if psd is None:
+    if cfg.spectrum is None:
         return None
-    return [trace_for_run(psd, site_seed(seed, k), cfg.dt, cfg.n_steps,
-                          cfg.margin_time) for k in range(n_sites)]
+    return [trace_for_run(cfg.spectrum, site_seed(seed, k), cfg.dt,
+                          cfg.n_steps, cfg.margin_time)
+            for k in range(n_sites)]
 
 
 def _site_noise(trace, n_steps: int):

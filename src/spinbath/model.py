@@ -61,7 +61,8 @@ class UnitFrame:
     gamma_si : float
         Signed gyromagnetic ratio in 1/(s T).
     n_halves : int
-        Spin length in units of hbar/2, >= 1.
+        Spin length in units of hbar/2: an integer >= 1 with a finite float
+        value, stored as an int.
     """
 
     b_ext_tesla: float
@@ -82,9 +83,13 @@ class UnitFrame:
                 f"hbar * |gamma_si| * b_ext_tesla must be a normal finite "
                 f"float, got {quantum!r} J at gamma_si = {self.gamma_si!r}, "
                 f"b_ext_tesla = {self.b_ext_tesla!r}")
-        # n % 1 is NaN for a NaN or infinite n
-        if not (self.n_halves % 1 == 0 and self.n_halves >= 1):
-            raise ParameterError("n_halves must be an integer >= 1")
+        # n % 1 is NaN for a NaN or infinite n; the spectra use n as a
+        # float, which an int above the largest float does not have
+        if not (self.n_halves % 1 == 0
+                and 1 <= self.n_halves <= float(np.finfo(float).max)):
+            raise ParameterError(
+                "n_halves must be an integer >= 1 with a finite float value")
+        object.__setattr__(self, "n_halves", int(self.n_halves))
 
     @property
     def larmor(self) -> float:
@@ -115,11 +120,7 @@ class UnitFrame:
 
 def build_unit_frame(b_ext_tesla: float, gamma_si: float = GAMMA_ELECTRON,
                      n_half_hbar: int = 1) -> UnitFrame:
-    """Validated UnitFrame from field magnitude, gyromagnetic ratio, spin halves.
-
-    An integral n_half_hbar is stored as an int; any other value raises."""
-    if n_half_hbar % 1 == 0:
-        n_half_hbar = int(n_half_hbar)
+    """Validated UnitFrame from field, gyromagnetic ratio and spin halves."""
     return UnitFrame(b_ext_tesla, gamma_si, n_half_hbar)
 
 

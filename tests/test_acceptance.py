@@ -153,7 +153,7 @@ def test_criterion_05_embedding_equivalence():
 
 def test_criterion_06_fdt_and_kernel_identities():
     res = max(fdt_residuals().values())
-    worst_q = max(moment_quadrature_error(p, max_m=4) for p in (SET1, SET2))
+    worst_q = max(moment_quadrature_error(p) for p in (SET1, SET2))
     tau1 = kernel_moments(SET1).tau_in
     tau2 = kernel_moments(SET2).tau_in
     # 0.098 is 24/245 in print precision; the 1e-6 gate applies to the exact value

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -9,19 +10,20 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinbath
-from spinbath import cli
+from spinbath import cli, experiments
 from spinbath.cli import (PRESETS, ExperimentConfig, main, parse_config, run,
                           write_csv)
 from spinbath.coupling import SPECTRUM_KINDS
 from spinbath.dynamics import integrate, noise_traces
-from spinbath.experiments import METHOD_TAGS
+from spinbath.experiments import METHOD_TAGS, _MAX_MEMBERS
 from spinbath.model import ConfigurationError, SpinSystem
 
 BASE = """
@@ -477,6 +479,60 @@ t_max = 3.0
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    # the first used to end in an OverflowError traceback, the other two to
+    # build the seed list of every member before any check
+    @pytest.mark.parametrize("key,value,mode,message", [
+        ("spin_halves", "9" * 400, "trajectory",
+         "n_halves must be an integer >= 1 with a finite float value"),
+        ("n_traj", _MAX_MEMBERS + 1, "ensemble",
+         f"n_traj must be >= 2 and <= {_MAX_MEMBERS}"),
+        ("n_replicas", _MAX_MEMBERS + 1, "sweep",
+         f"n_replicas must be >= 1 and <= {_MAX_MEMBERS}")],
+        ids=["spin_halves", "n_traj", "n_replicas"])
+    def test_huge_run_size_is_a_config_error(self, tmp_path, capsys,
+                                             monkeypatch, key, value, mode,
+                                             message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a member ran or a process started")
+        monkeypatch.setattr(experiments, "integrate_members", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            forbidden)
+        text = f"""
+[frame]
+b_ext_tesla = 10.0
+spin_halves = 1
+
+[bath]
+kind = ohmic
+
+[noise]
+kind = quantum-ohmic
+temperature = 1.0
+temperatures = 1.0
+
+[run]
+mode = {mode}
+t_max = 3.0
+n_traj = 4
+n_replicas = 1
+methods = llg-classical
+"""
+        ini = tmp_path / "big.ini"
+        ini.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text))
+        assert main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / f"{mode}.csv").exists()
+
+    def test_default_section_is_a_config_error(self, tmp_path, capsys):
+        # it used to lend its keys to every section: [DEFAULT] seed = 3 set
+        # run.seed, and was reported as frame.seed once [frame] was there
+        ini = tmp_path / "default.ini"
+        ini.write_text("[DEFAULT]\nseed = 3\n" + BASE)
+        assert main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+        assert (capsys.readouterr().err
+                == "config error: unknown config keys: DEFAULT\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_validate_mode_passes_on_defaults(self, capsys):
         assert main(["--mode", "validate"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -516,6 +572,8 @@ PROPERTY_KEYS = {
     "run.n_traj": 4, "run.n_replicas": 2, "run.workers": 2,
     "run.downsample": 2,
 }
+PROPERTY_METHODS = "llg-classical, lorentzian-set2"
+HUGE = int("9" * 400)
 # a sweep needs ten blocks of 50 time units in the last quarter of its run
 RUN_LENGTHS = {"trajectory": (0.15, 3.0), "ensemble": (0.15, 3.0),
                "sweep": (1.0, 2000.0)}
@@ -528,8 +586,9 @@ NOISE_KINDS = {"ohmic": ["classical-ohmic", "quantum-ohmic", "none"],
 def cli_configs(draw):
     """(config text, whether a value in it is not finite).  One run in
     three has dt = 1e-300 or t_max = 1e300.  Up to three keys take an
-    atypical value: 1, 0 or -1 for an integer; 0, a negative value, 1e-300,
-    1e300, +-inf or nan for a float, or for one entry of a list."""
+    atypical value: 1, 0, -1 or a 400-digit integer for an integer; 0, a
+    negative value, 1e-300, 1e300, +-inf or nan for a float, or for one
+    entry of a list."""
     mode = draw(st.sampled_from(sorted(RUN_LENGTHS)))
     values = dict(PROPERTY_KEYS)
     dt, t_max = RUN_LENGTHS[mode]
@@ -540,7 +599,7 @@ def cli_configs(draw):
     for key in sorted(odd):
         typical = values[key]
         if isinstance(typical, int):
-            values[key] = draw(st.sampled_from([1, 0, -1]))
+            values[key] = draw(st.sampled_from([1, 0, -1, HUGE]))
             continue
         scale = typical[0] if isinstance(typical, tuple) else typical
         value = draw(st.sampled_from([0.0, -abs(scale), 1e-300, 1e300,
@@ -557,25 +616,55 @@ def cli_configs(draw):
         values["bath.preset"] = bath
     values["noise.kind"] = draw(st.sampled_from(NOISE_KINDS[family]))
     values["run.mode"] = mode
-    values["run.methods"] = "llg-classical, lorentzian-set2"
+    return ini_text(values), non_finite
+
+
+def ini_text(values: dict) -> str:
+    """Config text setting each "section.name" key of values, with the
+    methods of every property run; a tuple is written comma-separated."""
     sections = {}
-    for key, value in values.items():
+    for key, value in {**values, "run.methods": PROPERTY_METHODS}.items():
         section, name = key.split(".")
         if isinstance(value, tuple):
             value = ", ".join(map(repr, value))
         sections.setdefault(section, []).append(f"{name} = {value}")
-    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
                    for name, lines in sections.items())
-    return text, non_finite
+
+
+class SerialPool:
+    """Stand-in for ProcessPoolExecutor that maps in this process, so that
+    no drawn worker count starts processes."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+# a drawn example that used to end in an OverflowError traceback
+HUGE_SPIN = ini_text({**PROPERTY_KEYS, "frame.spin_halves": HUGE,
+                      "run.dt": 0.15, "run.t_max": 3.0, "bath.kind": "ohmic",
+                      "noise.kind": "classical-ohmic", "run.mode": "ensemble"})
 
 
 @given(cli_configs())
+@example(config=(HUGE_SPIN, False))
 @settings(max_examples=200, deadline=None)
 def test_main_returns_a_status_for_any_numeric_config(config):
     # main never raises; it exits 0, 1 (divergence) or 2 (config error), and
     # a value that is not finite is always a config error
     text, non_finite = config
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
+                              SerialPool), \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")

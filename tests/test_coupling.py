@@ -112,7 +112,7 @@ class TestKernelMoments:
     def test_quadrature_oracle_matches_closed_form(self):
         # kappa_m = ((-1)^m / m!) * int tau^m K(tau)
         for p in (SET1, SET2):
-            assert moment_quadrature_error(p, max_m=4) < 1e-6
+            assert moment_quadrature_error(p) < 1e-6
 
     def test_max_m_validated(self):
         with pytest.raises(ParameterError):

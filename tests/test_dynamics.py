@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbath import dynamics
+from spinbath.coupling import DEFAULT_CUTOFF, power_spectrum
 from spinbath.dynamics import (FLOAT_LANES, IntegratorConfig, integrate,
                                integrate_members, llg_kernel,
                                lorentzian_kernel)
@@ -375,6 +377,22 @@ class TestIntegratorPlumbing:
         assert method_config("lorentzian-set1", FRAME, 1.0).margin_time == 10.0
         assert method_config("lorentzian-set2", FRAME, 1.0).margin_time == 40.0
 
+    def test_config_builds_its_spectrum_once(self, monkeypatch):
+        cfg = method_config("llg-quantum", FRAME, 1.0)
+        assert cfg.spectrum == power_spectrum(
+            "quantum-ohmic", cfg.bath, 1.0, FRAME, cutoff=DEFAULT_CUTOFF)
+        assert method_config("llg-classical", FRAME, 0.0).spectrum is None
+        hot = dataclasses.replace(cfg, temperature=5.0)
+        assert hot.spectrum.temperature == 5.0 and hot != cfg
+        assert "spectrum" not in repr(cfg)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a spectrum was built for a run")
+        monkeypatch.setattr(dynamics, "power_spectrum", never)
+        traces = dynamics.noise_traces(cfg, 3, 2)
+        assert [tr.provenance[1] for tr in traces] == [
+            cfg.spectrum.describe()] * 2
+
     def test_short_noise_trace_rejected(self):
         cfg = method_config("lorentzian-set2", FRAME, 1.0, t_max=30.0)
         stub = NoiseTrace(components=np.zeros((3, 10)), dt=cfg.dt,
@@ -394,12 +412,17 @@ class TestIntegratorPlumbing:
             IntegratorConfig(frame=FRAME, bath=SET1, dt=-0.1, t_max=1.0)
         with pytest.raises(ParameterError):
             IntegratorConfig(frame=FRAME, bath=SET1, dt=0.15, t_max=0.01)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match="quantum-ohmic requires OhmicParams"):
             IntegratorConfig(frame=FRAME, bath=SET1, noise_kind="quantum-ohmic",
                              t_max=1.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="quantum-lorentzian "
+                           "requires LorentzianParams"):
             IntegratorConfig(frame=FRAME, bath=OhmicParams(0.02),
                              noise_kind="quantum-lorentzian", t_max=1.0)
+        with pytest.raises(ParameterError, match="cutoff must be positive"):
+            IntegratorConfig(frame=FRAME, bath=SET2, cutoff=-1.0, t_max=1.0,
+                             noise_kind="quantum-lorentzian", temperature=1.0)
         # the lead-in alone, 10 time units, is 1e301 samples at this dt
         ohmic = dict(frame=FRAME, bath=OhmicParams(0.02), dt=1e-300,
                      t_max=3e-300)

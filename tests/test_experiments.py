@@ -1,11 +1,13 @@
 import concurrent.futures
 import math
+import os
 import weakref
 
 import numpy as np
 import pytest
 
 from spinbath import dynamics, experiments
+from spinbath.coupling import DEFAULT_CUTOFF
 from spinbath.dynamics import integrate
 from spinbath.experiments import (DEFAULT_ETA, METHOD_TAGS,
                                   STEADY_BLOCK_LENGTH, STEADY_WINDOW_FRACTION,
@@ -18,6 +20,42 @@ from spinbath.noise import derive_seed
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
 FRAME200 = build_unit_frame(10.0, -1.76e11, 200)
+
+
+def record_pools(monkeypatch, cpus):
+    """Replace the process pool by one that maps in this process, and the
+    CPU count by cpus; returns the list of the pool sizes asked for."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+# (workers, jobs, CPU count, processes the pool gets or None for no pool)
+@pytest.mark.parametrize("workers,n_jobs,cpus,size", [
+    (5000, 10, 3, 3), (5000, 2, 3, 2), (2, 10, 3, 2), (5000, 1, 3, None),
+    (5000, 0, 3, None), (5000, 10, 1, None), (5000, 10, None, None)])
+def test_pool_capped_by_jobs_and_cpus(monkeypatch, workers, n_jobs, cpus,
+                                      size):
+    sizes = record_pools(monkeypatch, cpus)
+    items = [(k,) for k in range(n_jobs)]
+    assert list(experiments._pmap(lambda k: -k, items, workers)) == [
+        -k for k in range(n_jobs)]
+    assert sizes == ([] if size is None else [size])
 
 
 def forbid_runs(monkeypatch):
@@ -90,6 +128,28 @@ class TestEnsembleAverage:
         cfg = method_config("llg-classical", FRAME, 10.0, t_max=30.0)
         with pytest.raises(ParameterError, match="workers"):
             ensemble_average(cfg, 2, workers=workers)
+
+    @pytest.mark.parametrize("n", [experiments._MAX_MEMBERS + 1, 10 ** 400],
+                             ids=["above-bound", "400-digits"])
+    def test_member_counts_bounded_before_any_seed(self, monkeypatch, n):
+        forbid_runs(monkeypatch)
+
+        def no_seeds(*args):
+            raise AssertionError("a seed list was built")
+        monkeypatch.setattr(experiments, "derive_seed", no_seeds)
+        cfg = method_config("llg-classical", FRAME, 10.0, t_max=30.0)
+        with pytest.raises(ParameterError, match="^n_traj must be"):
+            ensemble_average(cfg, n)
+        with pytest.raises(ParameterError, match="^n_replicas must be"):
+            averaged_steady_state(cfg, n)
+
+    def test_pool_capped_for_a_huge_worker_count(self, monkeypatch):
+        sizes = record_pools(monkeypatch, cpus=3)
+        cfg = method_config("llg-classical", FRAME, 10.0, t_max=30.0)
+        want = ensemble_average(cfg, 2, base_seed=3)
+        got = ensemble_average(cfg, 2, base_seed=3, workers=5000)
+        assert np.array_equal(got.sz_mean, want.sz_mean)
+        assert sizes == [2]  # one per batch of 2 float-lane members
 
     def test_batches_follow_budget_and_workers(self):
         batches = experiments._ensemble_batches
@@ -383,6 +443,15 @@ class TestTemperatureSweep:
         with pytest.raises(ParameterError):
             temperature_sweep(["llg-classical"], [], FRAME)
 
+    def test_bad_cutoff_fails_before_any_member(self, monkeypatch):
+        with pytest.raises(ParameterError, match="cutoff must be positive"):
+            method_config("llg-quantum", FRAME, 1.0, cutoff=-1.0)
+        forbid_runs(monkeypatch)
+        # the noise-free point at 0 K used to run before the noisy one failed
+        with pytest.raises(ParameterError, match="cutoff must be positive"):
+            temperature_sweep(["llg-classical"], [0.0, 1.0], FRAME,
+                              t_max=2000.0, dt=1.0, cutoff=-1.0, workers=2)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             method_config("llg-heun", FRAME, 1.0)
@@ -399,4 +468,5 @@ def test_method_tags_cover_the_standard_matrix():
     assert method_config("llg-classical", FRAME, 0.0).noise_kind is None
     assert isinstance(method_config("lorentzian-set1", FRAME, 1.0).bath,
                       type(SET1))
-    assert method_config("llg-quantum", FRAME, 1.0).effective_cutoff == 10.0
+    assert (method_config("llg-quantum", FRAME, 1.0).spectrum.cutoff
+            == DEFAULT_CUTOFF)

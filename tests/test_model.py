@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbath.coupling import power_spectrum
 from spinbath.model import (GAMMA_ELECTRON, IntegrationDivergedError,
                             LorentzianParams, OhmicParams, ParameterError,
-                            SET1, SET2, SpinSystem, build_unit_frame,
-                            symmetrize_exchange)
+                            SET1, SET2, SpinSystem, UnitFrame,
+                            build_unit_frame, symmetrize_exchange)
 
 
 class TestUnitFrame:
@@ -44,6 +45,8 @@ class TestUnitFrame:
         # the spin length is not truncated: 1.5 halves is no spin
         dict(n_half_hbar=1.5), dict(n_half_hbar=math.nan),
         dict(n_half_hbar=math.inf),
+        # an integer with no finite float value: the spectra divide by it
+        dict(n_half_hbar=10 ** 400),
     ])
     def test_invalid_parameters(self, bad):
         kwargs = dict(b_ext_tesla=10.0, gamma_si=GAMMA_ELECTRON, n_half_hbar=1)
@@ -54,6 +57,22 @@ class TestUnitFrame:
     def test_integral_spin_length_stored_as_int(self):
         frame = build_unit_frame(10.0, GAMMA_ELECTRON, 2.0)
         assert frame.n_halves == 2 and type(frame.n_halves) is int
+
+    def test_frame_itself_stores_the_spin_length_as_int(self):
+        frame = UnitFrame(10.0, GAMMA_ELECTRON, 2.0)
+        assert frame.n_halves == 2 and type(frame.n_halves) is int
+        built = build_unit_frame(10.0, GAMMA_ELECTRON, 2.0)
+        assert frame == built
+        assert (power_spectrum("quantum-ohmic", OhmicParams(0.02), 1.0, frame,
+                               cutoff=10.0).describe()
+                == power_spectrum("quantum-ohmic", OhmicParams(0.02), 1.0,
+                                  built, cutoff=10.0).describe())
+
+    def test_huge_spin_length_rejected_by_the_frame(self):
+        with pytest.raises(ParameterError, match="^n_halves must be"):
+            UnitFrame(10.0, GAMMA_ELECTRON, int("9" * 400))
+        # below the float range it is a spin length like any other
+        assert UnitFrame(10.0, GAMMA_ELECTRON, 10 ** 300).n_halves == 10 ** 300
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name,key", [("b_ext_tesla", "b_ext_tesla"),

@@ -66,11 +66,16 @@ def test_steady_state_sweep(tmp_path):
     assert not (tmp_path / "steady_state_n200.csv").exists()
 
 
-def test_bench_pairs_summary_on_canned_runs():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    bench_pairs = load_bench_pairs()
 
     def run(wall, rate, rss, hits, failed=0):
         return {"correct": failed == 0, "failed": failed,
@@ -124,3 +129,37 @@ def test_bench_pairs_summary_on_canned_runs():
         "chain": 10, "sweep": 3}
     with pytest.raises(SystemExit):
         bench_pairs.parse_pairs(["chain"])
+
+
+def test_bench_pairs_commands_parse_and_summarise_without_bounds():
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.parse_commands([
+        "criterion2=python3 -m pytest -q tests/test_acceptance.py "
+        "-k 'criterion_02 or criterion_03'", "noop=true"]) == {
+        "criterion2": ["python3", "-m", "pytest", "-q",
+                       "tests/test_acceptance.py", "-k",
+                       "criterion_02 or criterion_03"],
+        "noop": ["true"]}
+    for bad in ("criterion2", "criterion2=", "=python3"):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_commands([bad])
+
+    def run(wall, rss, returncode=0):
+        ok = returncode == 0
+        return {"correct": ok, "attempted": 1, "failed": int(not ok),
+                "metrics": {"wall_s": wall, "peak_rss_mb": rss}}
+    pairs = [{"base": run(90.0, 300.0), "change": run(40.0, 320.0)},
+             {"base": run(88.0, 310.0), "change": run(38.0, 330.0, 1)},
+             {"base": run(86.0, 305.0), "change": run(41.0, 325.0)}]
+    out = bench_pairs.summarise(pairs, bench_pairs.COMMAND_METRICS)
+    assert out["pairs"] == 3 and out["correct"] is False
+    assert out["failed"] == {"base": 0, "change": 1}
+    wall = out["metrics"]["wall_s"]
+    assert wall["base"] == {"q1": 87.0, "median": 88.0, "q3": 89.0}
+    assert wall["change"]["median"] == 40.0
+    assert wall["change_wins"] == 3 and wall["gap_exceeds_base_iqr"] is True
+    rss = out["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 0
+    assert rss["median_change_frac"] == pytest.approx(20.0 / 305.0)
+    # no BENCHMARK.json bound applies to a command
+    assert "within_bound" not in wall and "within_bound" not in rss
