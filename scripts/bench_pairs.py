@@ -14,8 +14,10 @@ PYTHONPATH=<tree>/src.  A fresh wrapper process runs the command once and
 reports its wall seconds and, from RUSAGE_CHILDREN, the peak RSS of its
 largest process.
 The base commit (`--base`, default HEAD) is exported with `git archive` into
-a temporary directory; the change is the checkout as it stands, uncommitted
-edits included.  Both sides of a pair use
+a temporary directory, and the change, the checkout as it stands, into a
+sibling one: its tracked files with their uncommitted edits and its untracked
+files that git does not ignore.  So the two sides differ only in their files,
+not in where they sit or in byte-code caches.  Both sides of a pair use
 the same workload seed, pair i of a workload seed first_seed + i, and the
 side that runs first alternates from pair to pair.  Runs are sequential, so
 no run competes with another for a core.
@@ -34,6 +36,7 @@ import argparse
 import json
 import os
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -67,6 +70,21 @@ def export(sha: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                              check=True, stdout=subprocess.PIPE).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_worktree(dest: Path, root: Path = ROOT) -> None:
+    """Copy the files of the checkout at root into dest: tracked files as
+    they stand, uncommitted edits included, and untracked files that git
+    does not ignore."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, stdout=subprocess.PIPE).stdout.split(b"\0")
+    for name in filter(None, map(os.fsdecode, names)):
+        src = root / name
+        # a tracked file deleted in the checkout is left out
+        if src.is_file() or src.is_symlink():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name, follow_symlinks=False)
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -192,8 +210,12 @@ def main() -> int:
         "first_seed": args.first_seed, "workloads": {}, "commands": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {"base": Path(tmp), "change": ROOT}
+        # sibling directories with names of one length
+        roots = {"base": Path(tmp) / "a", "change": Path(tmp) / "b"}
+        for root in roots.values():
+            root.mkdir()
         export(base_sha, roots["base"])
+        export_worktree(roots["change"])
         for name, n in wanted.items():
             pairs = []
             for i in range(n):

@@ -26,7 +26,7 @@ from .experiments import (DEFAULT_ETA, DESK_ENSEMBLE_T_MAX, DESK_N_TRAJ,
 from .model import (GAMMA_ELECTRON, SET1, SET2, ConfigurationError,
                     IntegrationDivergedError, LorentzianParams, OhmicParams,
                     ParameterError, SpinSystem, UnitFrame, build_unit_frame,
-                    require_finite)
+                    require_finite, spin_length)
 from .noise import WhiteSeed, banded_psd_error
 
 MODES = ("trajectory", "ensemble", "sweep", "validate")
@@ -50,7 +50,8 @@ def _parse_names(text: str) -> tuple:
 def _key(key: str, cast, default=None, check=None):
     """A field read from config key "section.name": the text is cast, checked
     finite if it holds floats, then passed to check, which raises
-    ConfigurationError if the value is out of its domain."""
+    ConfigurationError or ParameterError, naming the key, if the value is
+    out of its domain."""
     return dataclasses.field(default=default, metadata={
         "key": key, "cast": cast, "check": check})
 
@@ -66,7 +67,8 @@ class ExperimentConfig:
         v in MODES, f"run.mode must be one of {MODES}, got {v!r}"))
     b_ext_tesla: float = _key("frame.b_ext_tesla", float, 10.0)
     gamma: float = _key("frame.gamma", float, GAMMA_ELECTRON)
-    spin_halves: int = _key("frame.spin_halves", int, 1)
+    spin_halves: int = _key("frame.spin_halves", int, 1,
+                            lambda v: spin_length(v, "frame.spin_halves"))
     bath_kind: str | None = _key("bath.kind", str)
     eta: float | None = _key("bath.eta", float)
     preset: str | None = _key("bath.preset", str, check=lambda v: _require(

@@ -38,7 +38,7 @@ from .coupling import DEFAULT_CUTOFF, PowerSpectrum, power_spectrum
 from .model import (BathParams, ConfigurationError, IntegrationDivergedError,
                     LorentzianParams, ParameterError, SpinSystem, UnitFrame,
                     require_finite)
-from .noise import site_seed, trace_for_run
+from .noise import site_seed, trace_for_run, trace_length
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,15 @@ class IntegratorConfig:
             raise ParameterError("t_max must be at least one step")
         if self.temperature < 0.0:
             raise ParameterError("temperature must be >= 0")
-        # in floats, before n_steps rounds it to an int; a (3, n) noise
-        # trace takes 24 bytes a sample, and numpy indexes intp-max bytes
+        # in floats first, before n_steps rounds it to an int, then as the
+        # padded trace_length; a (3, n) noise trace takes 24 bytes a
+        # sample, and numpy indexes intp-max bytes
         lead_in = self.margin_time if self.noise_kind is not None else 0.0
+        limit = np.iinfo(np.intp).max // 24
         samples = (self.t_max + lead_in) / self.dt
-        if samples > np.iinfo(np.intp).max // 24:
+        if samples <= limit and self.noise_kind is not None:
+            samples = trace_length(self.dt, self.n_steps, lead_in)
+        if samples > limit:
             raise ParameterError(
                 f"t_max / dt too large: t_max = {self.t_max!r} at dt = "
                 f"{self.dt!r} needs {samples:.3g} samples, noise lead-in "

@@ -125,6 +125,12 @@ def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _usable_workers(workers: int) -> int:
+    """min(workers, CPU count): the most processes _pmap starts."""
+    import os
+    return min(workers, os.cpu_count() or 1)
+
+
 def _pmap(job, items, workers: int):
     """job(*args) for each of the list items, yielded in order as the caller
     consumes them; over a pool of min(workers, len(items), CPU count)
@@ -132,9 +138,8 @@ def _pmap(job, items, workers: int):
     below 1 raise ParameterError before any job runs."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
-    import os
     # a fork-based pool starts all its processes at the first submit
-    workers = min(workers, len(items), os.cpu_count() or 1)
+    workers = min(_usable_workers(workers), len(items))
     if workers <= 1:
         yield from (job(*args) for args in items)
         return
@@ -148,10 +153,13 @@ def _run_members(points, initial_spin, workers: int = 1):
     each (cfg, seeds) point, in point and then member order.  Every point's
     _ensemble_batches become integrate_members jobs of the one _pmap, so a
     point's members may split across workers; no column depends on
-    `workers` or on the batch split, and no job raises on a divergence."""
+    `workers` or on the batch split, and no job raises on a divergence.
+    Batches are cut for the processes that run them, so a `workers` above
+    the CPU count does not narrow the lanes."""
     spin = tuple(initial_spin)
+    processes = _usable_workers(workers)
     jobs = [(cfg, seeds[a:b], spin) for cfg, seeds in points
-            for a, b in _ensemble_batches(len(seeds), cfg.n_steps, workers)]
+            for a, b in _ensemble_batches(len(seeds), cfg.n_steps, processes)]
     for sz, steps in _pmap(integrate_members, jobs, workers):
         # copies, and the batch dropped before the next is fetched: no column
         # the caller still holds keeps a finished batch alive meanwhile

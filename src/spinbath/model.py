@@ -83,13 +83,7 @@ class UnitFrame:
                 f"hbar * |gamma_si| * b_ext_tesla must be a normal finite "
                 f"float, got {quantum!r} J at gamma_si = {self.gamma_si!r}, "
                 f"b_ext_tesla = {self.b_ext_tesla!r}")
-        # n % 1 is NaN for a NaN or infinite n; the spectra use n as a
-        # float, which an int above the largest float does not have
-        if not (self.n_halves % 1 == 0
-                and 1 <= self.n_halves <= float(np.finfo(float).max)):
-            raise ParameterError(
-                "n_halves must be an integer >= 1 with a finite float value")
-        object.__setattr__(self, "n_halves", int(self.n_halves))
+        object.__setattr__(self, "n_halves", spin_length(self.n_halves))
 
     @property
     def larmor(self) -> float:
@@ -116,6 +110,17 @@ class UnitFrame:
         if temperature < 0.0:
             raise ParameterError("temperature must be >= 0")
         return 2.0 * KB * (temperature / self.n_halves) / (HBAR * self.larmor)
+
+
+def spin_length(n, name: str = "n_halves") -> int:
+    """n as an int, if it is an integer >= 1 with a finite float value;
+    otherwise ParameterError naming it `name`."""
+    # n % 1 is NaN for a NaN or infinite n; the spectra use n as a float,
+    # which an int above the largest float does not have
+    if not (n % 1 == 0 and 1 <= n <= float(np.finfo(float).max)):
+        raise ParameterError(
+            f"{name} must be an integer >= 1 with a finite float value")
+    return int(n)
 
 
 def build_unit_frame(b_ext_tesla: float, gamma_si: float = GAMMA_ELECTRON,

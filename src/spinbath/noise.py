@@ -147,15 +147,50 @@ def coloured_trace(ws: WhiteSeed, psd: PowerSpectrum) -> NoiseTrace:
     return NoiseTrace(components=xi, dt=ws.dt, provenance=(ws, psd.describe()))
 
 
+# Why 5-smooth: the in-place rfft/irfft pairs of three rows, numpy 2.4.6,
+# 2 cores, best of 9 in a fresh process per length.  A full-scale set2 run
+# needs 301,861 = 7 * 29 * 1,487 samples: 550 ms there, where pocketfft
+# takes Bluestein's path and keeps 37 MB more peak RSS, against 40 ms at the
+# next 5-smooth length (303,750), 60 ms at the next 7-smooth (302,400) and
+# 87-104 ms at 2^19.  The LLG runs' 301,661 = 31 * 37 * 263 took 133 ms.  A
+# desk sweep set2 run needs 21,212 = 4 * 5,303: 24 ms, against 1.9 ms
+# (5-smooth 21,600), 1.3-1.4 ms (7-smooth 21,504), 2.1-2.4 ms (11-smooth
+# 21,296) and 3.4-4.2 ms at 2^15.
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c at or above n >= 1: a length that pocketfft
+    transforms with its own radices, never by Bluestein's algorithm."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a at or above n
+            m = p35 << (-(-n // p35) - 1).bit_length()
+            if m < best:
+                best = m
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def trace_length(dt: float, n_steps: int, margin_time: float) -> int:
+    """Samples that trace_for_run draws: the smallest 5-smooth number at or
+    above the n_steps + 1 grid points plus a lead-in of margin_time."""
+    n_margin = int(math.ceil(margin_time / dt)) if margin_time > 0 else 0
+    return _fast_length(n_steps + 1 + n_margin)
+
+
 def trace_for_run(psd: PowerSpectrum, seed: int, dt: float, n_steps: int,
                   margin_time: float) -> NoiseTrace:
     """Trace covering n_steps+1 grid points after a discarded lead-in.
 
     margin_time (unit-free) absorbs the circular-convolution wrap; it should
-    be several correlation times of the target spectrum.
+    be several correlation times of the target spectrum.  The trace_length
+    samples drawn pad the lead-in up to a fast FFT length, so the lead-in
+    is never shorter than margin_time.
     """
-    n_margin = int(math.ceil(margin_time / dt)) if margin_time > 0 else 0
-    n = n_steps + 1 + n_margin
+    n = trace_length(dt, n_steps, margin_time)
+    n_margin = n - n_steps - 1
     ws = WhiteSeed(seed=seed, n_samples=n, dt=dt)
     full = coloured_trace(ws, psd)
     return NoiseTrace(components=full.components[:, n_margin:], dt=dt,

@@ -479,16 +479,20 @@ t_max = 3.0
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "trajectory.csv").exists()
 
-    # the first used to end in an OverflowError traceback, the other two to
+    # a huge spin length used to end in an OverflowError traceback, and the
+    # spin length errors named n_halves, not the key; the run sizes used to
     # build the seed list of every member before any check
     @pytest.mark.parametrize("key,value,mode,message", [
-        ("spin_halves", "9" * 400, "trajectory",
-         "n_halves must be an integer >= 1 with a finite float value"),
+        *(("spin_halves", value, mode, "frame.spin_halves must be an "
+           "integer >= 1 with a finite float value")
+          for value in ("9" * 400, "0") for mode in ("trajectory", "sweep")),
         ("n_traj", _MAX_MEMBERS + 1, "ensemble",
          f"n_traj must be >= 2 and <= {_MAX_MEMBERS}"),
         ("n_replicas", _MAX_MEMBERS + 1, "sweep",
          f"n_replicas must be >= 1 and <= {_MAX_MEMBERS}")],
-        ids=["spin_halves", "n_traj", "n_replicas"])
+        ids=["spin_halves", "spin_halves-huge-sweep",
+             "spin_halves-0-trajectory", "spin_halves-0-sweep", "n_traj",
+             "n_replicas"])
     def test_huge_run_size_is_a_config_error(self, tmp_path, capsys,
                                              monkeypatch, key, value, mode,
                                              message):

@@ -429,6 +429,15 @@ class TestIntegratorPlumbing:
         with pytest.raises(ParameterError, match="^t_max / dt too large"):
             IntegratorConfig(noise_kind="quantum-ohmic", **ohmic)
         assert IntegratorConfig(**ohmic).n_steps == 3  # no noise, no lead-in
+        # the padded trace counts: 3.841e17 steps and a 10-sample lead-in
+        # fit one array, but pad to the 5-smooth 3.84434e17, which does not
+        # (the bound is 3.84307e17 samples); 3.83e17 pads to 3.84e17
+        ohmic.update(dt=1.0, t_max=3.841e17)
+        with pytest.raises(ParameterError, match="^t_max / dt too large"):
+            IntegratorConfig(noise_kind="quantum-ohmic", **ohmic)
+        ohmic["t_max"] = 3.83e17
+        assert IntegratorConfig(noise_kind="quantum-ohmic", **ohmic).n_steps \
+            == 383_000_000_000_000_000
 
 
 class TestSingleSteps:

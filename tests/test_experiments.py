@@ -151,6 +151,24 @@ class TestEnsembleAverage:
         assert np.array_equal(got.sz_mean, want.sz_mean)
         assert sizes == [2]  # one per batch of 2 float-lane members
 
+    def test_batches_follow_the_processes_not_the_workers_asked(
+            self, monkeypatch):
+        sizes = record_pools(monkeypatch, cpus=2)
+        batches = []
+        real = experiments.integrate_members
+
+        def spy(cfg, seeds, initial_spin):
+            batches.append(len(seeds))
+            return real(cfg, seeds, initial_spin)
+        monkeypatch.setattr(experiments, "integrate_members", spy)
+        cfg = method_config("llg-classical", FRAME, 10.0, t_max=3.0)
+        n = 4 * dynamics.MIN_LANES
+        two = ensemble_average(cfg, n, base_seed=6, workers=2)
+        many = ensemble_average(cfg, n, base_seed=6, workers=5000)
+        assert batches == [n // 2] * 4 and sizes == [2, 2]
+        assert two.sz_mean.tobytes() == many.sz_mean.tobytes()
+        assert two.sz_stderr.tobytes() == many.sz_stderr.tobytes()
+
     def test_batches_follow_budget_and_workers(self):
         batches = experiments._ensemble_batches
         lanes = dynamics.MIN_LANES
@@ -410,6 +428,8 @@ class TestTemperatureSweep:
         methods, temps = ["llg-classical", "llg-quantum"], [1.0, 5.0]
         calls = []
         real = experiments._pmap
+        # batches are cut for min(workers, CPU count) processes
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
         def spy(job, items, workers):
             calls.append((job, list(items), workers))

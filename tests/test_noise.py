@@ -1,18 +1,34 @@
+import bisect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinbath.coupling import power_spectrum
+from spinbath.dynamics import noise_traces
+from spinbath.experiments import (DESK_ENSEMBLE_T_MAX, DESK_SWEEP_T_MAX,
+                                  METHOD_TAGS, method_config)
 from spinbath.model import OhmicParams, ParameterError, SET1, SET2, build_unit_frame
-from spinbath.noise import (WhiteSeed, colour, coloured_trace,
+from spinbath.noise import (WhiteSeed, _fast_length, colour, coloured_trace,
                             derive_seed, site_seed, trace_for_run,
                             welch_density, white_gaussian)
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
 ETA = SET1.eta_equivalent
 DT = 0.15
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
 
 
 def banded(omega, values, width=0.1):
@@ -198,8 +214,8 @@ class TestColour:
     # 301,661).  The block holds 24, the complex row 8 and the filter 4; the
     # shorter trace pays more for fixed costs.  tracemalloc counts numpy's
     # array allocations only, not pocketfft's internal scratch (Bluestein
-    # buffers), so these gates cannot catch growth there; the benchmark's
-    # peak RSS covers that.
+    # buffers), so these gates cannot catch growth there;
+    # TestRunTraces.test_full_scale_set2_trace_rss covers that.
     @pytest.mark.parametrize("kind,params,cutoff,n,gate", [
         ("quantum-ohmic", OhmicParams(ETA), 10.0, 301_661, 38.0),
         ("quantum-lorentzian", SET2, None, 2_279, 45.0)])
@@ -226,16 +242,72 @@ class TestColour:
             colour(np.zeros((2, 128)), psd, DT)
 
 
+def is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 class TestRunTraces:
     def test_margin_is_discarded(self):
         psd = power_spectrum("quantum-lorentzian", SET2, 1.0, FRAME)
         n_steps = 1000
         tr = trace_for_run(psd, seed=3, dt=DT, n_steps=n_steps, margin_time=40.0)
         assert tr.n_samples == n_steps + 1
-        n_margin = math.ceil(40.0 / DT)
-        full = coloured_trace(
-            WhiteSeed(seed=3, n_samples=n_steps + 1 + n_margin, dt=DT), psd)
-        assert np.array_equal(tr.components, full.components[:, n_margin:])
+        # 1,001 grid points and a lead-in of ceil(40 / DT) = 267 samples
+        # pad to 1,280 = 2^8 * 5; the padding joins the lead-in
+        ws = WhiteSeed(seed=3, n_samples=1280, dt=DT)
+        assert tr.provenance[0] == ws
+        full = coloured_trace(ws, psd)
+        assert np.array_equal(tr.components,
+                              full.components[:, 1280 - n_steps - 1:])
+
+    @pytest.mark.parametrize("t_max", [DESK_ENSEMBLE_T_MAX, DESK_SWEEP_T_MAX],
+                             ids=["desk-ensemble", "desk-sweep"])
+    @pytest.mark.parametrize("method", METHOD_TAGS)
+    def test_trace_length_is_the_next_5_smooth_number(self, method, t_max):
+        cfg = method_config(method, FRAME, 1.0, t_max=t_max)
+        n = noise_traces(cfg, 5, 1)[0].provenance[0].n_samples
+        need = cfg.n_steps + 1 + math.ceil(cfg.margin_time / cfg.dt)
+        assert is_5_smooth(n) and n >= need
+        assert not any(is_5_smooth(m) for m in range(need, n))
+
+    def test_fast_length_matches_a_table_of_5_smooth_numbers(self):
+        table = sorted(2 ** a * 3 ** b * 5 ** c for a in range(64)
+                       for b in range(41) for c in range(28))
+        rng = np.random.default_rng(8)
+        ns = [*range(1, 3000), 21_212, 301_861, 2 ** 40 + 1,
+              *(int(x) for x in rng.integers(1, 2 ** 62, 2000))]
+        for n in ns:
+            assert _fast_length(n) == table[bisect.bisect_left(table, n)]
+
+    # Rise of ru_maxrss over one full-scale set2 noise_traces call in a
+    # fresh process (T = 1 K, 301,593 steps; numpy 2.4.6, Linux, three runs
+    # each): +59.6-59.8 MB at 301,861 samples, where pocketfft takes its
+    # Bluestein path and caches its workspace, against +24.2-24.3 MB at the
+    # 5-smooth 303,750, of which the trace itself holds 7.3 MB.  The
+    # tracemalloc gates above cannot see pocketfft's scratch; this can.
+    RSS_GATE_MB = 36.0
+
+    def test_full_scale_set2_trace_rss(self):
+        probe = """
+import resource
+from spinbath.dynamics import noise_traces
+from spinbath.experiments import FULL_SWEEP_T_MAX, method_config
+from spinbath.model import SET2, build_unit_frame
+cfg = method_config("lorentzian-set2", build_unit_frame(10.0, -1.76e11, 1),
+                    1.0, t_max=FULL_SWEEP_T_MAX)
+assert cfg.bath is SET2
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+noise_traces(cfg, 5, 1)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) / 1024.0)
+"""
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             text=True, stdout=subprocess.PIPE,
+                             env=src_env(), timeout=300).stdout
+        assert float(out) < self.RSS_GATE_MB
 
     def test_seed_derivations(self):
         assert derive_seed(0b1010, 0b0110) == 0b1100

@@ -163,3 +163,32 @@ def test_bench_pairs_commands_parse_and_summarise_without_bounds():
     assert rss["median_change_frac"] == pytest.approx(20.0 / 305.0)
     # no BENCHMARK.json bound applies to a command
     assert "within_bound" not in wall and "within_bound" not in rss
+
+
+def test_bench_pairs_exports_the_checkout_as_it_stands(tmp_path):
+    bench_pairs = load_bench_pairs()
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    dest.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+    (repo / "sub").mkdir(parents=True)
+    files = {".gitignore": "ignored/\n*.pyc\n", "edited.txt": "old\n",
+             "sub/kept.txt": "kept\n", "deleted.txt": "gone\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "files")
+    (repo / "edited.txt").write_text("new\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "untracked.txt").write_text("untracked\n")
+    (repo / "ignored").mkdir()
+    (repo / "ignored" / "out.csv").write_text("1\n")
+    (repo / "sub" / "cache.pyc").write_bytes(b"\0")
+    bench_pairs.export_worktree(dest, root=repo)
+    got = {p.relative_to(dest).as_posix(): p.read_text()
+           for p in dest.rglob("*") if p.is_file()}
+    assert got == {".gitignore": "ignored/\n*.pyc\n", "edited.txt": "new\n",
+                   "sub/kept.txt": "kept\n", "untracked.txt": "untracked\n"}
