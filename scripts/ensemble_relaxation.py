@@ -45,10 +45,10 @@ def main():
                 f"n_traj={args.n_traj} seed={args.seed}",
                 "t_eq: " + ", ".join(f"{m}={t_eq[m]:.2f}" for m in METHOD_TAGS)]
         names = ["t"]
-        cols = [curves[METHOD_TAGS[0]].times.tolist()]
+        cols = [curves[METHOD_TAGS[0]].times]
         for m in METHOD_TAGS:
             names += [f"{m}_mean", f"{m}_err"]
-            cols += [curves[m].sz_mean.tolist(), curves[m].sz_stderr.tolist()]
+            cols += [curves[m].sz_mean, curves[m].sz_stderr]
         write_csv(path, meta, ",".join(names), [cols])
         print(f"wrote {path}")
 

@@ -13,12 +13,15 @@ where f = z + noise + exchange field (z the unit static field) and V = W = 0
 at t = 0.  Pre-generated coloured noise turns the stochastic equation into a
 random ODE with continuous forcing (linear interpolation at half steps).
 
-The step scheme is the classical RK4 applied in exponential coordinates on
-the rotation group (with plain RK4 for the V, W components): each stage
-rotates the initial spin by a stage rotation vector, so |s| is preserved to
-machine precision at any step size, while the update remains 4th order.
-Plain vector-space RK4 drifts |s| by ~1e-3 over 1e4 steps at dt = 0.15,
-which is far outside the required conservation.
+The step scheme is the classical RK4 on s as a vector in R^3 (and on V, W),
+followed by one projection s <- s/|s| per step.  Plain RK4 alone drifts |s|
+by ~1e-3 over 1e4 steps at dt = 0.15, far outside the required conservation;
+projected, every stored spin has |s| = 1 to rounding and the step stays 4th
+order (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).  A
+stage costs one rate and one cross product, about half the arithmetic of an
+RK4 step in rotation coordinates (Runge-Kutta-Munthe-Kaas), which rotates
+the spin exactly at every stage but needs trigonometric coefficients and a
+dexp^-1 correction.
 
 Each bath has exactly one step definition, a kernel that runs on float lanes
 (one site; coupled sites step in lockstep) or on array lanes (independent
@@ -120,38 +123,13 @@ class Trajectory:
 # Lanes.  Each bath has one RK4 kernel, written once in plain arithmetic.  It
 # runs on "lanes": Python floats for one site, or (B,) arrays whose entries
 # are B independent ensemble members.  Elementwise numpy arithmetic rounds
-# exactly like float arithmetic, and numpy's sin and cos agree with the math
-# module's on x86-64 Linux (numpy 2.4), so a lane reproduces the float run of
-# the same spin bit for bit; the lane tests check this on the machine they
-# run on.  The pieces that cannot be plain arithmetic are injected: the
-# rotation coefficients, the norm square root and the finiteness test
-# (Lanes), and one sink per recorded channel.  The exchange field of coupled
-# sites is sent into the kernel, a generator (see llg_kernel).
-
-def _rot_coeffs(th2):
-    """Rodrigues coefficients sin(th)/th, (1-cos(th))/th^2, series-safe near 0.
-
-    A blown-up state (th2 inf or NaN) gives NaN, which the step carries to
-    its check, as on array lanes."""
-    if th2 < 1e-16:
-        return 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
-    if not th2 * 0.0 == 0.0:  # math.sin(inf) would raise
-        return math.nan, math.nan
-    th = math.sqrt(th2)
-    return math.sin(th) / th, (1.0 - math.cos(th)) / th2
-
-
-def _rot_coeffs_lanes(th2):
-    """_rot_coeffs on arrays; a blown-up lane turns NaN."""
-    th = np.sqrt(th2)
-    a = np.sin(th) / th
-    b = (1.0 - np.cos(th)) / th2
-    small = th2 < 1e-16
-    if small.any():  # rare with noise; masking beats np.where on every call
-        a[small] = 1.0 - th2[small] / 6.0
-        b[small] = 0.5 - th2[small] / 24.0
-    return a, b
-
+# exactly like float arithmetic, and the kernel's only operations besides
+# +, - and * are a division and a square root, which IEEE 754 rounds
+# correctly on both; so a lane reproduces the float run of the same spin bit
+# for bit.  The lane tests check this.  The pieces that are not plain
+# arithmetic are injected: the square root and the finiteness test (Lanes),
+# and one sink per recorded channel.  The exchange field of coupled sites is
+# sent into the kernel, a generator (see llg_kernel).
 
 def _raise_if_nonfinite(step, x):
     if not x * 0.0 == 0.0:
@@ -165,12 +143,11 @@ class Lanes(NamedTuple):
     non-finite exactly where the state blew up; it raises or records.
     """
 
-    coeffs: Callable
     sqrt: Callable
     check: Callable
 
 
-FLOAT_LANES = Lanes(_rot_coeffs, math.sqrt, _raise_if_nonfinite)
+FLOAT_LANES = Lanes(math.sqrt, _raise_if_nonfinite)
 
 
 def _member_lanes(steps):
@@ -180,13 +157,14 @@ def _member_lanes(steps):
         bad = ~np.isfinite(x)
         if bad.any():
             steps[bad & (steps == 0)] = step
-    return Lanes(_rot_coeffs_lanes, np.sqrt, record_divergence)
+    return Lanes(np.sqrt, record_divergence)
 
 # integrate_members runs fewer members than this one by one on float lanes.
-# Kernel time per member-step, set2 Lorentzian / quantum LLG, best of 5 on a
-# 2-core x86-64 VM with numpy 2.4.6: float lanes 6.7 / 5.7 us; 25 array
-# lanes 13.4 / 8.3 us (slower); 50 lanes 6.0 / 3.9 us (faster); 100 lanes
-# 3.3 / 1.9 us.  64 sits above the crossover with a margin for CPU drift.
+# Kernel time per member-step, set2 Lorentzian / quantum LLG, 2,000 steps,
+# best of 5, two runs on a 2-core x86-64 VM with numpy 2.4.6: float lanes
+# 3.1-3.2 / 2.0 us; 25 array lanes 4.7-4.8 / 2.9 us (slower); 50 lanes
+# 2.4-2.7 / 1.5 us (faster); 64 lanes 1.9 / 1.1 us; 100 lanes 1.2-1.4 /
+# 0.74 us.  64 sits above the crossover with a margin for CPU drift.
 MIN_LANES = 64
 
 
@@ -205,7 +183,7 @@ def _row_sink(buf):
 
 def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
                coupled=False):
-    """Memory-free bath: n_steps of RK4 in rotation coordinates, a generator.
+    """Memory-free bath: n_steps of projected RK4, a generator.
 
     s = (sx, sy, sz) lanes; noise = (bx, by, bz), the bath field, to which
     the unit static field along z is added, each indexable by grid point
@@ -213,14 +191,14 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
     (x, y, z, norm) receive the initial state and the state after every
     step, called in that order.  Uncoupled, it never yields: one next(gen,
     None) runs it.  Coupled, it yields the spin (x, y, z) of each RK stage:
-    the spin s at the start of the step, then s rotated by h/2 o1, h/2 o2
-    and h o3, o_k being the rate of stage k.  Each yield must be sent back
+    the spin s at the start of the step, then s + h/2 k1, s + h/2 k2 and
+    s + h k3, k_j being the slope of stage j.  Each yield must be sent back
     the exchange field (jx, jy, jz) at that spin, which joins the stage's
     bath field.  It returns after the last step's fourth stage.
     """
     sx, sy, sz = s
     bxl, byl, bzl = noise
-    coeffs, sqrt, check = lanes
+    sqrt, check = lanes
     ax, ay, az, an = sinks
     gp = sign_gamma / (1.0 + eta * eta)
     lam = eta / (1.0 + eta * eta)
@@ -237,82 +215,55 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
         if coupled:
             jx, jy, jz = yield sx, sy, sz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        o1x = -gp * fx + lam * (sy * fz - sz * fy)
-        o1y = -gp * fy + lam * (sz * fx - sx * fz)
-        o1z = -gp * fz + lam * (sx * fy - sy * fx)
+        ox = -gp * fx + lam * (sy * fz - sz * fy)
+        oy = -gp * fy + lam * (sz * fx - sx * fz)
+        oz = -gp * fz + lam * (sx * fy - sy * fx)
+        k1x = oy * sz - oz * sy; k1y = oz * sx - ox * sz; k1z = ox * sy - oy * sx
 
-        ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        px = sx + a * cx + b * (uy * cz - uz * cy)
-        py = sy + a * cy + b * (uz * cx - ux * cz)
-        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        px = sx + h2 * k1x; py = sy + h2 * k1y; pz = sz + h2 * k1z
         fx = bhx; fy = bhy; fz = bhz
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        rx = -gp * fx + lam * (py * fz - pz * fy)
-        ry = -gp * fy + lam * (pz * fx - px * fz)
-        rz = -gp * fz + lam * (px * fy - py * fx)
-        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-        o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-        o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-        o2z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ox = -gp * fx + lam * (py * fz - pz * fy)
+        oy = -gp * fy + lam * (pz * fx - px * fz)
+        oz = -gp * fz + lam * (px * fy - py * fx)
+        k2x = oy * pz - oz * py; k2y = oz * px - ox * pz; k2z = ox * py - oy * px
 
-        ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        px = sx + a * cx + b * (uy * cz - uz * cy)
-        py = sy + a * cy + b * (uz * cx - ux * cz)
-        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        px = sx + h2 * k2x; py = sy + h2 * k2y; pz = sz + h2 * k2z
         fx = bhx; fy = bhy; fz = bhz
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        rx = -gp * fx + lam * (py * fz - pz * fy)
-        ry = -gp * fy + lam * (pz * fx - px * fz)
-        rz = -gp * fz + lam * (px * fy - py * fx)
-        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-        o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-        o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-        o3z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ox = -gp * fx + lam * (py * fz - pz * fy)
+        oy = -gp * fy + lam * (pz * fx - px * fz)
+        oz = -gp * fz + lam * (px * fy - py * fx)
+        k3x = oy * pz - oz * py; k3y = oz * px - ox * pz; k3z = ox * py - oy * px
 
-        ux = h * o3x; uy = h * o3y; uz = h * o3z
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        px = sx + a * cx + b * (uy * cz - uz * cy)
-        py = sy + a * cy + b * (uz * cx - ux * cz)
-        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        px = sx + h * k3x; py = sy + h * k3y; pz = sz + h * k3z
         fx = b1x; fy = b1y; fz = b1z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        rx = -gp * fx + lam * (py * fz - pz * fy)
-        ry = -gp * fy + lam * (pz * fx - px * fz)
-        rz = -gp * fz + lam * (px * fy - py * fx)
-        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-        o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-        o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-        o4z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ox = -gp * fx + lam * (py * fz - pz * fy)
+        oy = -gp * fy + lam * (pz * fx - px * fz)
+        oz = -gp * fz + lam * (px * fy - py * fx)
+        k4x = oy * pz - oz * py; k4y = oz * px - ox * pz; k4z = ox * py - oy * px
 
-        ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
-        uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
-        uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        sx = sx + a * cx + b * (uy * cz - uz * cy)
-        sy = sy + a * cy + b * (uz * cx - ux * cz)
-        sz = sz + a * cz + b * (ux * cy - uy * cx)
-
+        sx = sx + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        sy = sy + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        sz = sz + h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
         nrm2 = sx * sx + sy * sy + sz * sz
         check(i + 1, nrm2)
-        ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
+        r = 1.0 / sqrt(nrm2)
+        sx = sx * r; sy = sy * r; sz = sz * r
+        ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
 
 
 def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
                       sinks, coupled=False):
-    """Resonant bath: a generator running n_steps of RK4, rotation
-    coordinates for s and plain coordinates for the auxiliary vectors V, W.
+    """Resonant bath: a generator running n_steps of RK4 on s, V and W, with
+    s projected back to the unit sphere after every step.
 
     Arguments as for llg_kernel, plus the initial v = (vx, vy, vz) and
     w = (wx, wy, wz) lanes; sinks = (x, y, z, norm, v_x, v_y, v_z).  It
@@ -322,7 +273,7 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
     vx, vy, vz = v
     wx, wy, wz = w
     bxl, byl, bzl = noise
-    coeffs, sqrt, check = lanes
+    sqrt, check = lanes
     ax, ay, az, an, avx, avy, avz = sinks
     g = sign_gamma
     w0sq = p.omega0 ** 2
@@ -342,96 +293,69 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
         if coupled:
             jx, jy, jz = yield sx, sy, sz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        o1x = -g * fx; o1y = -g * fy; o1z = -g * fz
+        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        k1x = oy * sz - oz * sy; k1y = oz * sx - ox * sz; k1z = ox * sy - oy * sx
         dv1x = wx; dv1y = wy; dv1z = wz
         dw1x = -w0sq * vx - gam * wx + al * sx
         dw1y = -w0sq * vy - gam * wy + al * sy
         dw1z = -w0sq * vz - gam * wz + al * sz
 
-        ux = h2 * o1x; uy = h2 * o1y; uz = h2 * o1z
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        px = sx + a * cx + b * (uy * cz - uz * cy)
-        py = sy + a * cy + b * (uz * cx - ux * cz)
-        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        px = sx + h2 * k1x; py = sy + h2 * k1y; pz = sz + h2 * k1z
         v2x = vx + h2 * dv1x; v2y = vy + h2 * dv1y; v2z = vz + h2 * dv1z
         w2x = wx + h2 * dw1x; w2y = wy + h2 * dw1y; w2z = wz + h2 * dw1z
         fx = bhx + v2x; fy = bhy + v2y; fz = 1.0 + bhz + v2z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        rx = -g * fx; ry = -g * fy; rz = -g * fz
-        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-        o2x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-        o2y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-        o2z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        k2x = oy * pz - oz * py; k2y = oz * px - ox * pz; k2z = ox * py - oy * px
         dv2x = w2x; dv2y = w2y; dv2z = w2z
         dw2x = -w0sq * v2x - gam * w2x + al * px
         dw2y = -w0sq * v2y - gam * w2y + al * py
         dw2z = -w0sq * v2z - gam * w2z + al * pz
 
-        ux = h2 * o2x; uy = h2 * o2y; uz = h2 * o2z
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        px = sx + a * cx + b * (uy * cz - uz * cy)
-        py = sy + a * cy + b * (uz * cx - ux * cz)
-        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        px = sx + h2 * k2x; py = sy + h2 * k2y; pz = sz + h2 * k2z
         v3x = vx + h2 * dv2x; v3y = vy + h2 * dv2y; v3z = vz + h2 * dv2z
         w3x = wx + h2 * dw2x; w3y = wy + h2 * dw2y; w3z = wz + h2 * dw2z
         fx = bhx + v3x; fy = bhy + v3y; fz = 1.0 + bhz + v3z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        rx = -g * fx; ry = -g * fy; rz = -g * fz
-        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-        o3x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-        o3y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-        o3z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        k3x = oy * pz - oz * py; k3y = oz * px - ox * pz; k3z = ox * py - oy * px
         dv3x = w3x; dv3y = w3y; dv3z = w3z
         dw3x = -w0sq * v3x - gam * w3x + al * px
         dw3y = -w0sq * v3y - gam * w3y + al * py
         dw3z = -w0sq * v3z - gam * w3z + al * pz
 
-        ux = h * o3x; uy = h * o3y; uz = h * o3z
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        px = sx + a * cx + b * (uy * cz - uz * cy)
-        py = sy + a * cy + b * (uz * cx - ux * cz)
-        pz = sz + a * cz + b * (ux * cy - uy * cx)
+        px = sx + h * k3x; py = sy + h * k3y; pz = sz + h * k3z
         v4x = vx + h * dv3x; v4y = vy + h * dv3y; v4z = vz + h * dv3z
         w4x = wx + h * dw3x; w4y = wy + h * dw3y; w4z = wz + h * dw3z
         fx = b1x + v4x; fy = b1y + v4y; fz = 1.0 + b1z + v4z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        rx = -g * fx; ry = -g * fy; rz = -g * fz
-        cx = uy * rz - uz * ry; cy = uz * rx - ux * rz; cz = ux * ry - uy * rx
-        o4x = rx - 0.5 * cx + (uy * cz - uz * cy) / 12.0
-        o4y = ry - 0.5 * cy + (uz * cx - ux * cz) / 12.0
-        o4z = rz - 0.5 * cz + (ux * cy - uy * cx) / 12.0
+        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        k4x = oy * pz - oz * py; k4y = oz * px - ox * pz; k4z = ox * py - oy * px
         dv4x = w4x; dv4y = w4y; dv4z = w4z
         dw4x = -w0sq * v4x - gam * w4x + al * px
         dw4y = -w0sq * v4y - gam * w4y + al * py
         dw4z = -w0sq * v4z - gam * w4z + al * pz
 
-        ux = h6 * (o1x + 2.0 * (o2x + o3x) + o4x)
-        uy = h6 * (o1y + 2.0 * (o2y + o3y) + o4y)
-        uz = h6 * (o1z + 2.0 * (o2z + o3z) + o4z)
-        a, b = coeffs(ux * ux + uy * uy + uz * uz)
-        cx = uy * sz - uz * sy; cy = uz * sx - ux * sz; cz = ux * sy - uy * sx
-        sx = sx + a * cx + b * (uy * cz - uz * cy)
-        sy = sy + a * cy + b * (uz * cx - ux * cz)
-        sz = sz + a * cz + b * (ux * cy - uy * cx)
+        sx = sx + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        sy = sy + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        sz = sz + h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
         vx = vx + h6 * (dv1x + 2.0 * (dv2x + dv3x) + dv4x)
         vy = vy + h6 * (dv1y + 2.0 * (dv2y + dv3y) + dv4y)
         vz = vz + h6 * (dv1z + 2.0 * (dv2z + dv3z) + dv4z)
         wx = wx + h6 * (dw1x + 2.0 * (dw2x + dw3x) + dw4x)
         wy = wy + h6 * (dw1y + 2.0 * (dw2y + dw3y) + dw4y)
         wz = wz + h6 * (dw1z + 2.0 * (dw2z + dw3z) + dw4z)
-
         nrm2 = sx * sx + sy * sy + sz * sz
         check(i + 1, nrm2 + vx + vy + vz + wx + wy + wz)
-        ax(sx); ay(sy); az(sz); an(sqrt(nrm2))
+        r = 1.0 / sqrt(nrm2)
+        sx = sx * r; sy = sy * r; sz = sz * r
+        ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
         avx(vx); avy(vy); avz(vz)
 
 

@@ -333,13 +333,13 @@ t_max = 30
 n_traj = 4
 """)
         assert main(["--config", str(ini), "--out", str(tmp_path)]) == 1
-        assert "error: integration diverged at step 5\n" in capsys.readouterr().err
+        assert "error: integration diverged at step 6\n" in capsys.readouterr().err
         with pytest.warns(UserWarning):
             status = main(["--config", str(ini), "--out", str(tmp_path),
                            "--mode", "ensemble"])
         assert status == 1
         err = capsys.readouterr().err
-        assert "error: integration diverged at step 5 in ensemble member 0" in err
+        assert "error: integration diverged at step 6 in ensemble member 0" in err
         assert not (tmp_path / "ensemble.csv").exists()
 
     def test_diverging_sweep_message_does_not_depend_on_workers(
@@ -363,7 +363,7 @@ methods = lorentzian-set1
                          "--workers", workers]) == 1
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
-        assert errs[0] == ("error: integration diverged at step 26 in "
+        assert errs[0] == ("error: integration diverged at step 12 in "
                            "steady-state replica 0 of lorentzian-set1 at "
                            "T = 1 K\n")
         assert not (tmp_path / "sweep.csv").exists()
