@@ -105,12 +105,18 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded time series: spins (n_sites, n_steps+1, 3) plus |s|(t)."""
+    """Recorded time series: spins (n_sites, n_steps+1, 3), and V of a
+    resonant bath in the same layout."""
 
     times: np.ndarray
     spins: np.ndarray
-    norms: np.ndarray
     aux_v: np.ndarray | None = None
+
+    @property
+    def norms(self) -> np.ndarray:
+        """|s|(t), (n_sites, n_steps+1), computed from the recorded spins."""
+        x, y, z = np.moveaxis(self.spins, -1, 0)
+        return np.sqrt(x * x + y * y + z * z)
 
     def sz(self, site: int = 0) -> np.ndarray:
         return self.spins[site, :, 2]
@@ -188,8 +194,8 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
     s = (sx, sy, sz) lanes; noise = (bx, by, bz), the bath field, to which
     the unit static field along z is added, each indexable by grid point
     0..n_steps and giving lanes (or floats, shared by every lane).  sinks =
-    (x, y, z, norm) receive the initial state and the state after every
-    step, called in that order.  Uncoupled, it never yields: one next(gen,
+    (x, y, z) receive the initial spin and the spin after every step,
+    called in that order.  Uncoupled, it never yields: one next(gen,
     None) runs it.  Coupled, it yields the spin (x, y, z) of each RK stage:
     the spin s at the start of the step, then s + h/2 k1, s + h/2 k2 and
     s + h k3, k_j being the slope of stage j.  Each yield must be sent back
@@ -199,12 +205,12 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
     sx, sy, sz = s
     bxl, byl, bzl = noise
     sqrt, check = lanes
-    ax, ay, az, an = sinks
+    ax, ay, az = sinks
     gp = sign_gamma / (1.0 + eta * eta)
     lam = eta / (1.0 + eta * eta)
     h2 = 0.5 * h
     h6 = h / 6.0
-    ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
+    ax(sx); ay(sy); az(sz)
     b1x = bxl[0]; b1y = byl[0]; b1z = 1.0 + bzl[0]
     for i in range(n_steps):
         b0x = b1x; b0y = b1y; b0z = b1z
@@ -257,7 +263,7 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
         check(i + 1, nrm2)
         r = 1.0 / sqrt(nrm2)
         sx = sx * r; sy = sy * r; sz = sz * r
-        ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
+        ax(sx); ay(sy); az(sz)
 
 
 def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
@@ -266,7 +272,7 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
     s projected back to the unit sphere after every step.
 
     Arguments as for llg_kernel, plus the initial v = (vx, vy, vz) and
-    w = (wx, wy, wz) lanes; sinks = (x, y, z, norm, v_x, v_y, v_z).  It
+    w = (wx, wy, wz) lanes; sinks = (x, y, z, v_x, v_y, v_z).  It
     yields the four stage spins of a step when coupled, as llg_kernel does.
     """
     sx, sy, sz = s
@@ -274,14 +280,14 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
     wx, wy, wz = w
     bxl, byl, bzl = noise
     sqrt, check = lanes
-    ax, ay, az, an, avx, avy, avz = sinks
+    ax, ay, az, avx, avy, avz = sinks
     g = sign_gamma
     w0sq = p.omega0 ** 2
     gam = p.gamma_width
     al = p.alpha
     h2 = 0.5 * h
     h6 = h / 6.0
-    ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
+    ax(sx); ay(sy); az(sz)
     avx(vx); avy(vy); avz(vz)
     b1x = bxl[0]; b1y = byl[0]; b1z = bzl[0]
     for i in range(n_steps):
@@ -355,7 +361,7 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
         check(i + 1, nrm2 + vx + vy + vz + wx + wy + wz)
         r = 1.0 / sqrt(nrm2)
         sx = sx * r; sy = sy * r; sz = sz * r
-        ax(sx); ay(sy); az(sz); an(sqrt(sx * sx + sy * sy + sz * sz))
+        ax(sx); ay(sy); az(sz)
         avx(vx); avy(vy); avz(vz)
 
 
@@ -417,7 +423,7 @@ def _kernel(cfg: IntegratorConfig, s, noise, lanes, sinks, coupled=False):
                                  cfg.bath, cfg.frame.sign_gamma, lanes, sinks,
                                  coupled)
     return llg_kernel(s, noise, cfg.n_steps, cfg.dt, cfg.bath.eta,
-                      cfg.frame.sign_gamma, lanes, sinks[:4], coupled)
+                      cfg.frame.sign_gamma, lanes, sinks[:3], coupled)
 
 
 def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
@@ -449,14 +455,14 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
                     f"dt={cfg.dt!r}")
 
     s = sys.spins.tolist()
-    # per site, three buffers: the spin, |s| and V.  One append is the x, y
-    # and z sink of the spin (and of V); the kernel calls them in that order
-    # every step, so the buffer reads as (n_steps+1, 3) row-major.
-    records = [(array("d"), array("d"), array("d")) for _ in range(n_sites)]
+    # per site, two buffers: the spin and V.  One append is the x, y and z
+    # sink of the spin (and of V); the kernel calls them in that order every
+    # step, so the buffer reads as (n_steps+1, 3) row-major.
+    records = [(array("d"), array("d")) for _ in range(n_sites)]
     kernels = [_kernel(cfg, s[k], _site_noise(traces and traces[k], n_steps),
-                       FLOAT_LANES, [xyz.append] * 3 + [nrm.append]
-                       + [vs.append] * 3, bool(sys.exchange))
-               for k, (xyz, nrm, vs) in enumerate(records)]
+                       FLOAT_LANES, [xyz.append] * 3 + [vs.append] * 3,
+                       bool(sys.exchange))
+               for k, (xyz, vs) in enumerate(records)]
     if sys.exchange:
         with np.errstate(all="ignore"):  # a blown-up site's inf meets matmul
             _lockstep(kernels, sys)
@@ -465,13 +471,12 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
             next(gen, None)
 
     rows = n_steps + 1
-    spins = _site_stack([xyz for xyz, _, _ in records], (rows, 3))
-    norms = _site_stack([nrm for _, nrm, _ in records], (rows,))
-    aux_v = (_site_stack([vs for _, _, vs in records], (rows, 3))
+    spins = _site_stack([xyz for xyz, _ in records], (rows, 3))
+    aux_v = (_site_stack([vs for _, vs in records], (rows, 3))
              if isinstance(cfg.bath, LorentzianParams) else None)
     times = np.arange(rows, dtype=float)  # in place: no int64 temporary
     times *= cfg.dt
-    return Trajectory(times=times, spins=spins, norms=norms, aux_v=aux_v)
+    return Trajectory(times=times, spins=spins, aux_v=aux_v)
 
 
 def _site_stack(bufs, shape):
@@ -496,7 +501,7 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
     n_steps = cfg.n_steps
     sys = SpinSystem.single(initial_spin)
     sz = np.empty((n_steps + 1, width))
-    sinks = [_skip] * 7
+    sinks = [_skip] * 6
     if width < MIN_LANES:
         s = sys.spins[0].tolist()
         steps = [0] * width

@@ -210,8 +210,10 @@ BathParams = OhmicParams | LorentzianParams
 def symmetrize_exchange(raw: dict) -> dict:
     """Symmetrize pair couplings: Jbar(n,m) = (J(n,m) + J(m,n)^T) / 2.
 
-    Missing partners count as zero.  The output contains both orientations
-    of every pair and satisfies Jbar(n,m) == Jbar(m,n)^T exactly.
+    Missing partners count as zero, and a tensor with an entry that is not
+    finite is a ParameterError naming its pair.  The output contains both
+    orientations of every pair and satisfies Jbar(n,m) == Jbar(m,n)^T
+    exactly.
     """
     pairs = set()
     for (n, m) in raw:
@@ -225,6 +227,8 @@ def symmetrize_exchange(raw: dict) -> dict:
         j_mn = np.asarray(raw.get((m, n), zero), dtype=float)
         if j_nm.shape != (3, 3) or j_mn.shape != (3, 3):
             raise ParameterError("exchange tensors must be 3x3")
+        require_finite(**{f"exchange ({n}, {m})": j_nm,
+                          f"exchange ({m}, {n})": j_mn})
         sym = 0.5 * (j_nm + j_mn.T)
         out[(n, m)] = sym
         out[(m, n)] = sym.T.copy()

@@ -91,11 +91,14 @@ class NoiseTrace:
 
 def _amplitude(psd: PowerSpectrum, n: int, dt: float) -> np.ndarray:
     """sqrt(density) on the n//2 + 1 non-negative frequencies of an
-    n-sample real transform at spacing dt."""
-    amp = np.asarray(psd.trace_density(
-        2.0 * math.pi * np.fft.rfftfreq(n, d=dt)), dtype=float)
+    n-sample real transform at spacing dt.  A density that overflows (or
+    goes negative) is a ParameterError naming the spectrum."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        amp = np.asarray(psd.trace_density(
+            2.0 * math.pi * np.fft.rfftfreq(n, d=dt)), dtype=float)
     if np.any(amp < 0.0) or not np.all(np.isfinite(amp)):
-        raise RuntimeError("spectral density must be finite and non-negative")
+        raise ParameterError("spectral density must be finite and "
+                             f"non-negative: {psd.describe()}")
     return np.sqrt(amp, out=amp)
 
 

@@ -479,6 +479,36 @@ t_max = 3.0
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    # a density that overflows to inf used to end in a RuntimeError traceback
+    @pytest.mark.parametrize("kind,eta,b_ext", [
+        ("classical-ohmic", "1e300", "10.0"),
+        ("quantum-ohmic", "1e300", "10.0"),
+        ("classical-ohmic", "0.02", "1e-280")])
+    def test_overflowing_spectrum_is_a_config_error(self, tmp_path, capsys,
+                                                    kind, eta, b_ext):
+        ini = tmp_path / "hot.ini"
+        ini.write_text(f"""
+[frame]
+b_ext_tesla = {b_ext}
+
+[bath]
+kind = ohmic
+eta = {eta}
+
+[noise]
+kind = {kind}
+temperature = 1e300
+
+[run]
+mode = trajectory
+t_max = 3.0
+""")
+        assert main(["--config", str(ini), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: spectral density must be finite "
+                              f"and non-negative: {kind} T=1e+300K")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     # a huge spin length used to end in an OverflowError traceback, and the
     # spin length errors named n_halves, not the key; the run sizes used to
     # build the seed list of every member before any check
@@ -658,9 +688,17 @@ HUGE_SPIN = ini_text({**PROPERTY_KEYS, "frame.spin_halves": HUGE,
                       "run.dt": 0.15, "run.t_max": 3.0, "bath.kind": "ohmic",
                       "noise.kind": "classical-ohmic", "run.mode": "ensemble"})
 
+# a spectral density that overflows to inf; it used to end in a
+# RuntimeError traceback out of the noise filter
+OVERFLOWING_SPECTRUM = ini_text({
+    **PROPERTY_KEYS, "bath.eta": 1e300, "noise.temperature": 1e300,
+    "run.dt": 0.15, "run.t_max": 3.0, "bath.kind": "ohmic",
+    "noise.kind": "classical-ohmic", "run.mode": "trajectory"})
+
 
 @given(cli_configs())
 @example(config=(HUGE_SPIN, False))
+@example(config=(OVERFLOWING_SPECTRUM, False))
 @settings(max_examples=200, deadline=None)
 def test_main_returns_a_status_for_any_numeric_config(config):
     # main never raises; it exits 0, 1 (divergence) or 2 (config error), and

@@ -31,7 +31,7 @@ def single_run(bath, t_max, dt, spin=(-1, 0, 0), noise_kind=None, temp=0.0,
 def llg_step(field, spin, h, eta=0.0, lanes=FLOAT_LANES):
     """One llg_kernel step in a constant field; returns s.  The field is
     passed as noise, less the unit static field the kernel adds on z."""
-    rec = [[] for _ in range(4)]
+    rec = [[] for _ in range(3)]
     fx, fy, fz = field
     noise = ([fx, fx], [fy, fy], [fz - 1.0, fz - 1.0])
     next(llg_kernel(tuple(spin), noise, 1, h, eta, -1.0, lanes,
@@ -321,11 +321,12 @@ class TestIntegratorPlumbing:
     # Peak bytes allocated per step by integrate, tracemalloc, numpy 2.4.6,
     # 4,000 steps, noise generated beforehand: 90.9 (llg-quantum) and 140.5
     # (lorentzian-set2) recording one buffer per channel and copying them
-    # into fresh arrays; now 41.8 and 66.2, recording the spin (and V)
-    # interleaved and wrapping the buffers.  Per step the spin holds 24, |s|
-    # 8, V 24 and the times 8, plus the buffers' growth slack.
-    @pytest.mark.parametrize("method,gate", [("llg-quantum", 45.0),
-                                             ("lorentzian-set2", 70.0)])
+    # into fresh arrays; 41.8 and 66.2 recording the spin (and V)
+    # interleaved and wrapping the buffers; now 33.0 and 57.5, with |s| no
+    # longer recorded.  Per step the spin holds 24, V 24 and the times 8,
+    # plus the buffers' growth slack.
+    @pytest.mark.parametrize("method,gate", [("llg-quantum", 36.0),
+                                             ("lorentzian-set2", 61.0)])
     def test_peak_memory_per_step(self, method, gate):
         cfg = method_config(method, FRAME, 1.0, t_max=600.0)
         traces = dynamics.noise_traces(cfg, 3, 1)
@@ -502,7 +503,7 @@ class TestLanes:
         noise = [[vals[9 + j], vals[12 + j]] for j in range(3)]
 
         def step(lanes, lane):
-            rec = [[] for _ in range(7)]
+            rec = [[] for _ in range(6)]
             s_, v_, w_ = (tuple(lane(x) for x in q) for q in state)
             noise_ = tuple([lane(x) for x in n] for n in noise)
             next(lorentzian_kernel(s_, v_, w_, noise_, 1, h, SET2, -1.0,

@@ -194,6 +194,19 @@ class TestSpinSystem:
         with pytest.raises(ParameterError):
             SpinSystem(spins=np.array([[0, 0, 1.0]]), exchange={(0, 1): np.eye(3)})
 
+    # a non-finite tensor used to be accepted, and integrate then reported
+    # a divergence at step 1
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
+    def test_non_finite_exchange_rejected_by_name(self, bad, pair):
+        j = np.eye(3)
+        j[2, 1] = bad
+        spins = np.array([[0, 0, 1.0], [1.0, 0, 0]])
+        with pytest.raises(ParameterError,
+                           match=fr"^exchange \({pair[0]}, {pair[1]}\) "
+                                 "must be finite"):
+            SpinSystem(spins=spins, exchange={pair: j})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_spin_rejected_by_name(self, bad):
         with pytest.raises(ParameterError, match="^spin must be finite"):

@@ -14,8 +14,8 @@ from spinbath.dynamics import noise_traces
 from spinbath.experiments import (DESK_ENSEMBLE_T_MAX, DESK_SWEEP_T_MAX,
                                   METHOD_TAGS, method_config)
 from spinbath.model import OhmicParams, ParameterError, SET1, SET2, build_unit_frame
-from spinbath.noise import (WhiteSeed, _fast_length, colour, coloured_trace,
-                            derive_seed, site_seed, trace_for_run,
+from spinbath.noise import (WhiteSeed, _amplitude, _fast_length, colour,
+                            coloured_trace, derive_seed, site_seed, trace_for_run,
                             welch_density, white_gaussian)
 
 FRAME = build_unit_frame(10.0, -1.76e11, 1)
@@ -240,6 +240,14 @@ class TestColour:
         psd = power_spectrum("classical-ohmic", OhmicParams(ETA), 200.0, FRAME)
         with pytest.raises(ParameterError):
             colour(np.zeros((2, 128)), psd, DT)
+
+    @pytest.mark.parametrize("kind", ["classical-ohmic", "quantum-ohmic"])
+    def test_overflowing_density_is_a_parameter_error(self, kind):
+        # eta T = 1e600 overflows the density to inf; the error names it
+        psd = power_spectrum(kind, OhmicParams(1e300), 1e300, FRAME,
+                             cutoff=10.0 if kind == "quantum-ohmic" else None)
+        with pytest.raises(ParameterError, match=kind):
+            _amplitude(psd, 128, DT)
 
 
 def is_5_smooth(n):
