@@ -12,7 +12,8 @@ from .coupling import (KernelMoments, PowerSpectrum, fdt_check,
                        ohmic_coupling, power_spectrum, psd_expansion)
 from .noise import (NoiseTrace, WhiteSeed, colour, coloured_trace,
                     derive_seed, white_gaussian)
-from .dynamics import IntegratorConfig, Trajectory, integrate
+from .dynamics import (IntegratorConfig, Trajectory, integrate,
+                       precession_mode)
 from .experiments import (SweepResult, averaged_steady_state,
                           ensemble_average, equilibration_time,
                           method_config, statphys_oracle, temperature_sweep)

@@ -21,11 +21,13 @@ order (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).  A
 stage costs one rate and one cross product, about half the arithmetic of an
 RK4 step in rotation coordinates (Runge-Kutta-Munthe-Kaas), which rotates
 the spin exactly at every stage but needs trigonometric coefficients and a
-dexp^-1 correction.
+dexp^-1 correction.  precession_mode gives the closed-form mode of a small
+tilt about +z, against which `validate` and the tests check the step.
 
 Each bath has exactly one step definition, a kernel that runs on float lanes
-(one site; coupled sites step in lockstep) or on array lanes (independent
-ensemble members run side by side); see "Lanes" below.
+(one site; coupled sites step in lockstep, their exchange field summed in
+plain arithmetic) or on array lanes (independent ensemble members run side
+by side); see "Lanes" below.
 """
 
 from __future__ import annotations
@@ -133,9 +135,13 @@ class Trajectory:
 # +, - and * are a division and a square root, which IEEE 754 rounds
 # correctly on both; so a lane reproduces the float run of the same spin bit
 # for bit.  The lane tests check this.  The pieces that are not plain
-# arithmetic are injected: the square root and the finiteness test (Lanes),
-# and one sink per recorded channel.  The exchange field of coupled sites is
-# sent into the kernel, a generator (see llg_kernel).
+# arithmetic are injected: the square root, the finiteness test and the
+# making of a constant (Lanes), and one sink per recorded channel.  Every
+# constant of a step, signs folded in (-g, not g), is a lane value made once
+# per run, so array lanes multiply array by array and never convert a float
+# operand at each step.  The exchange field of coupled sites is plain lane
+# arithmetic too (_lockstep), sent into the kernel, a generator (see
+# llg_kernel).
 
 def _raise_if_nonfinite(step, x):
     if not x * 0.0 == 0.0:
@@ -147,30 +153,38 @@ class Lanes(NamedTuple):
 
     check(step, x) is called after every step with a lane value that is
     non-finite exactly where the state blew up; it raises or records.
+    full(value) is the lane value holding the float value in every lane; a
+    kernel makes each of its constants one before its first step.
     """
 
     sqrt: Callable
     check: Callable
+    full: Callable
 
 
-FLOAT_LANES = Lanes(math.sqrt, _raise_if_nonfinite)
+FLOAT_LANES = Lanes(math.sqrt, _raise_if_nonfinite, float)
 
 
 def _member_lanes(steps):
-    """Array lanes of independent members: a blown-up lane turns NaN, and
-    steps[k] records the step at which lane k first went non-finite."""
+    """Array lanes of independent members, one per entry of steps: a
+    blown-up lane turns NaN, and steps[k] records the step at which lane k
+    first went non-finite."""
     def record_divergence(step, x):
         bad = ~np.isfinite(x)
         if bad.any():
             steps[bad & (steps == 0)] = step
-    return Lanes(np.sqrt, record_divergence)
+
+    def full(value):
+        return np.full(steps.shape, value, dtype=float)
+    return Lanes(np.sqrt, record_divergence, full)
 
 # integrate_members runs fewer members than this one by one on float lanes.
-# Kernel time per member-step, set2 Lorentzian / quantum LLG, 2,000 steps,
-# best of 5, two runs on a 2-core x86-64 VM with numpy 2.4.6: float lanes
-# 3.1-3.2 / 2.0 us; 25 array lanes 4.7-4.8 / 2.9 us (slower); 50 lanes
-# 2.4-2.7 / 1.5 us (faster); 64 lanes 1.9 / 1.1 us; 100 lanes 1.2-1.4 /
-# 0.74 us.  64 sits above the crossover with a margin for CPU drift.
+# Kernel time per member-step, quantum LLG / set2 Lorentzian, from
+# scripts/kernel_widths.py (2,000 steps, best of 5) on a 2-core x86-64 VM
+# with numpy 2.4.6: float lanes 1.8 / 3.1 us; 32 array lanes 1.9-2.0 / 3.1
+# us (no faster); 40 lanes 1.6 / 2.6 us; 50 lanes 1.3 / 2.0 us; 64 lanes
+# 0.97 / 1.5 us; 100 lanes 0.62 / 0.97 us.  64 sits above the crossover,
+# 32-40 lanes, with a margin for CPU drift.
 MIN_LANES = 64
 
 
@@ -192,38 +206,40 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
     """Memory-free bath: n_steps of projected RK4, a generator.
 
     s = (sx, sy, sz) lanes; noise = (bx, by, bz), the bath field, to which
-    the unit static field along z is added, each indexable by grid point
-    0..n_steps and giving lanes (or floats, shared by every lane).  sinks =
-    (x, y, z) receive the initial spin and the spin after every step,
-    called in that order.  Uncoupled, it never yields: one next(gen,
-    None) runs it.  Coupled, it yields the spin (x, y, z) of each RK stage:
-    the spin s at the start of the step, then s + h/2 k1, s + h/2 k2 and
-    s + h k3, k_j being the slope of stage j.  Each yield must be sent back
-    the exchange field (jx, jy, jz) at that spin, which joins the stage's
-    bath field.  It returns after the last step's fourth stage.
+    the unit static field along z is added, each a sequence over grid points
+    0..n_steps (or more) of lanes (or floats, shared by every lane), read in
+    one pass.  sinks = (x, y, z) receive the initial spin and the spin after
+    every step, called in that order.  Uncoupled, it never yields: one
+    next(gen, None) runs it.  Coupled, it yields the spin (x, y, z) of each
+    RK stage: the spin s at the start of the step, then s + h/2 k1,
+    s + h/2 k2 and s + h k3, k_j being the slope of stage j.  Each yield
+    must be sent back the exchange field (jx, jy, jz) at that spin, which
+    joins the stage's bath field.  It returns after the last step's fourth
+    stage.
     """
     sx, sy, sz = s
     bxl, byl, bzl = noise
-    sqrt, check = lanes
+    sqrt, check, full = lanes
     ax, ay, az = sinks
-    gp = sign_gamma / (1.0 + eta * eta)
-    lam = eta / (1.0 + eta * eta)
-    h2 = 0.5 * h
-    h6 = h / 6.0
+    ngp = full(-(sign_gamma / (1.0 + eta * eta)))
+    lam = full(eta / (1.0 + eta * eta))
+    one = full(1.0); half = full(0.5); two = full(2.0)
+    h1 = full(h); h2 = full(0.5 * h); h6 = full(h / 6.0)
     ax(sx); ay(sy); az(sz)
-    b1x = bxl[0]; b1y = byl[0]; b1z = 1.0 + bzl[0]
-    for i in range(n_steps):
+    b1x = bxl[0]; b1y = byl[0]; b1z = one + bzl[0]
+    for step, bx, by, bz in zip(range(1, n_steps + 1),
+                                bxl[1:], byl[1:], bzl[1:]):
         b0x = b1x; b0y = b1y; b0z = b1z
-        b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = 1.0 + bzl[i + 1]
-        bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
+        b1x = bx; b1y = by; b1z = one + bz
+        bhx = half * (b0x + b1x); bhy = half * (b0y + b1y); bhz = half * (b0z + b1z)
 
         fx = b0x; fy = b0y; fz = b0z
         if coupled:
             jx, jy, jz = yield sx, sy, sz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -gp * fx + lam * (sy * fz - sz * fy)
-        oy = -gp * fy + lam * (sz * fx - sx * fz)
-        oz = -gp * fz + lam * (sx * fy - sy * fx)
+        ox = ngp * fx + lam * (sy * fz - sz * fy)
+        oy = ngp * fy + lam * (sz * fx - sx * fz)
+        oz = ngp * fz + lam * (sx * fy - sy * fx)
         k1x = oy * sz - oz * sy; k1y = oz * sx - ox * sz; k1z = ox * sy - oy * sx
 
         px = sx + h2 * k1x; py = sy + h2 * k1y; pz = sz + h2 * k1z
@@ -231,9 +247,9 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -gp * fx + lam * (py * fz - pz * fy)
-        oy = -gp * fy + lam * (pz * fx - px * fz)
-        oz = -gp * fz + lam * (px * fy - py * fx)
+        ox = ngp * fx + lam * (py * fz - pz * fy)
+        oy = ngp * fy + lam * (pz * fx - px * fz)
+        oz = ngp * fz + lam * (px * fy - py * fx)
         k2x = oy * pz - oz * py; k2y = oz * px - ox * pz; k2z = ox * py - oy * px
 
         px = sx + h2 * k2x; py = sy + h2 * k2y; pz = sz + h2 * k2z
@@ -241,27 +257,27 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -gp * fx + lam * (py * fz - pz * fy)
-        oy = -gp * fy + lam * (pz * fx - px * fz)
-        oz = -gp * fz + lam * (px * fy - py * fx)
+        ox = ngp * fx + lam * (py * fz - pz * fy)
+        oy = ngp * fy + lam * (pz * fx - px * fz)
+        oz = ngp * fz + lam * (px * fy - py * fx)
         k3x = oy * pz - oz * py; k3y = oz * px - ox * pz; k3z = ox * py - oy * px
 
-        px = sx + h * k3x; py = sy + h * k3y; pz = sz + h * k3z
+        px = sx + h1 * k3x; py = sy + h1 * k3y; pz = sz + h1 * k3z
         fx = b1x; fy = b1y; fz = b1z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -gp * fx + lam * (py * fz - pz * fy)
-        oy = -gp * fy + lam * (pz * fx - px * fz)
-        oz = -gp * fz + lam * (px * fy - py * fx)
+        ox = ngp * fx + lam * (py * fz - pz * fy)
+        oy = ngp * fy + lam * (pz * fx - px * fz)
+        oz = ngp * fz + lam * (px * fy - py * fx)
         k4x = oy * pz - oz * py; k4y = oz * px - ox * pz; k4z = ox * py - oy * px
 
-        sx = sx + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        sy = sy + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        sz = sz + h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
+        sx = sx + h6 * (k1x + two * (k2x + k3x) + k4x)
+        sy = sy + h6 * (k1y + two * (k2y + k3y) + k4y)
+        sz = sz + h6 * (k1z + two * (k2z + k3z) + k4z)
         nrm2 = sx * sx + sy * sy + sz * sz
-        check(i + 1, nrm2)
-        r = 1.0 / sqrt(nrm2)
+        check(step, nrm2)
+        r = one / sqrt(nrm2)
         sx = sx * r; sy = sy * r; sz = sz * r
         ax(sx); ay(sy); az(sz)
 
@@ -279,87 +295,88 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
     vx, vy, vz = v
     wx, wy, wz = w
     bxl, byl, bzl = noise
-    sqrt, check = lanes
+    sqrt, check, full = lanes
     ax, ay, az, avx, avy, avz = sinks
-    g = sign_gamma
-    w0sq = p.omega0 ** 2
-    gam = p.gamma_width
-    al = p.alpha
-    h2 = 0.5 * h
-    h6 = h / 6.0
+    ng = full(-sign_gamma)
+    nw0sq = full(-(p.omega0 ** 2))
+    gam = full(p.gamma_width)
+    al = full(p.alpha)
+    one = full(1.0); half = full(0.5); two = full(2.0)
+    h1 = full(h); h2 = full(0.5 * h); h6 = full(h / 6.0)
     ax(sx); ay(sy); az(sz)
     avx(vx); avy(vy); avz(vz)
     b1x = bxl[0]; b1y = byl[0]; b1z = bzl[0]
-    for i in range(n_steps):
+    for step, bx, by, bz in zip(range(1, n_steps + 1),
+                                bxl[1:], byl[1:], bzl[1:]):
         b0x = b1x; b0y = b1y; b0z = b1z
-        b1x = bxl[i + 1]; b1y = byl[i + 1]; b1z = bzl[i + 1]
-        bhx = 0.5 * (b0x + b1x); bhy = 0.5 * (b0y + b1y); bhz = 0.5 * (b0z + b1z)
+        b1x = bx; b1y = by; b1z = bz
+        bhx = half * (b0x + b1x); bhy = half * (b0y + b1y); bhz = half * (b0z + b1z)
 
-        fx = b0x + vx; fy = b0y + vy; fz = 1.0 + b0z + vz
+        fx = b0x + vx; fy = b0y + vy; fz = one + b0z + vz
         if coupled:
             jx, jy, jz = yield sx, sy, sz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        ox = ng * fx; oy = ng * fy; oz = ng * fz
         k1x = oy * sz - oz * sy; k1y = oz * sx - ox * sz; k1z = ox * sy - oy * sx
         dv1x = wx; dv1y = wy; dv1z = wz
-        dw1x = -w0sq * vx - gam * wx + al * sx
-        dw1y = -w0sq * vy - gam * wy + al * sy
-        dw1z = -w0sq * vz - gam * wz + al * sz
+        dw1x = nw0sq * vx - gam * wx + al * sx
+        dw1y = nw0sq * vy - gam * wy + al * sy
+        dw1z = nw0sq * vz - gam * wz + al * sz
 
         px = sx + h2 * k1x; py = sy + h2 * k1y; pz = sz + h2 * k1z
         v2x = vx + h2 * dv1x; v2y = vy + h2 * dv1y; v2z = vz + h2 * dv1z
         w2x = wx + h2 * dw1x; w2y = wy + h2 * dw1y; w2z = wz + h2 * dw1z
-        fx = bhx + v2x; fy = bhy + v2y; fz = 1.0 + bhz + v2z
+        fx = bhx + v2x; fy = bhy + v2y; fz = one + bhz + v2z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        ox = ng * fx; oy = ng * fy; oz = ng * fz
         k2x = oy * pz - oz * py; k2y = oz * px - ox * pz; k2z = ox * py - oy * px
         dv2x = w2x; dv2y = w2y; dv2z = w2z
-        dw2x = -w0sq * v2x - gam * w2x + al * px
-        dw2y = -w0sq * v2y - gam * w2y + al * py
-        dw2z = -w0sq * v2z - gam * w2z + al * pz
+        dw2x = nw0sq * v2x - gam * w2x + al * px
+        dw2y = nw0sq * v2y - gam * w2y + al * py
+        dw2z = nw0sq * v2z - gam * w2z + al * pz
 
         px = sx + h2 * k2x; py = sy + h2 * k2y; pz = sz + h2 * k2z
         v3x = vx + h2 * dv2x; v3y = vy + h2 * dv2y; v3z = vz + h2 * dv2z
         w3x = wx + h2 * dw2x; w3y = wy + h2 * dw2y; w3z = wz + h2 * dw2z
-        fx = bhx + v3x; fy = bhy + v3y; fz = 1.0 + bhz + v3z
+        fx = bhx + v3x; fy = bhy + v3y; fz = one + bhz + v3z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        ox = ng * fx; oy = ng * fy; oz = ng * fz
         k3x = oy * pz - oz * py; k3y = oz * px - ox * pz; k3z = ox * py - oy * px
         dv3x = w3x; dv3y = w3y; dv3z = w3z
-        dw3x = -w0sq * v3x - gam * w3x + al * px
-        dw3y = -w0sq * v3y - gam * w3y + al * py
-        dw3z = -w0sq * v3z - gam * w3z + al * pz
+        dw3x = nw0sq * v3x - gam * w3x + al * px
+        dw3y = nw0sq * v3y - gam * w3y + al * py
+        dw3z = nw0sq * v3z - gam * w3z + al * pz
 
-        px = sx + h * k3x; py = sy + h * k3y; pz = sz + h * k3z
-        v4x = vx + h * dv3x; v4y = vy + h * dv3y; v4z = vz + h * dv3z
-        w4x = wx + h * dw3x; w4y = wy + h * dw3y; w4z = wz + h * dw3z
-        fx = b1x + v4x; fy = b1y + v4y; fz = 1.0 + b1z + v4z
+        px = sx + h1 * k3x; py = sy + h1 * k3y; pz = sz + h1 * k3z
+        v4x = vx + h1 * dv3x; v4y = vy + h1 * dv3y; v4z = vz + h1 * dv3z
+        w4x = wx + h1 * dw3x; w4y = wy + h1 * dw3y; w4z = wz + h1 * dw3z
+        fx = b1x + v4x; fy = b1y + v4y; fz = one + b1z + v4z
         if coupled:
             jx, jy, jz = yield px, py, pz
             fx = fx + jx; fy = fy + jy; fz = fz + jz
-        ox = -g * fx; oy = -g * fy; oz = -g * fz
+        ox = ng * fx; oy = ng * fy; oz = ng * fz
         k4x = oy * pz - oz * py; k4y = oz * px - ox * pz; k4z = ox * py - oy * px
         dv4x = w4x; dv4y = w4y; dv4z = w4z
-        dw4x = -w0sq * v4x - gam * w4x + al * px
-        dw4y = -w0sq * v4y - gam * w4y + al * py
-        dw4z = -w0sq * v4z - gam * w4z + al * pz
+        dw4x = nw0sq * v4x - gam * w4x + al * px
+        dw4y = nw0sq * v4y - gam * w4y + al * py
+        dw4z = nw0sq * v4z - gam * w4z + al * pz
 
-        sx = sx + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        sy = sy + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        sz = sz + h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
-        vx = vx + h6 * (dv1x + 2.0 * (dv2x + dv3x) + dv4x)
-        vy = vy + h6 * (dv1y + 2.0 * (dv2y + dv3y) + dv4y)
-        vz = vz + h6 * (dv1z + 2.0 * (dv2z + dv3z) + dv4z)
-        wx = wx + h6 * (dw1x + 2.0 * (dw2x + dw3x) + dw4x)
-        wy = wy + h6 * (dw1y + 2.0 * (dw2y + dw3y) + dw4y)
-        wz = wz + h6 * (dw1z + 2.0 * (dw2z + dw3z) + dw4z)
+        sx = sx + h6 * (k1x + two * (k2x + k3x) + k4x)
+        sy = sy + h6 * (k1y + two * (k2y + k3y) + k4y)
+        sz = sz + h6 * (k1z + two * (k2z + k3z) + k4z)
+        vx = vx + h6 * (dv1x + two * (dv2x + dv3x) + dv4x)
+        vy = vy + h6 * (dv1y + two * (dv2y + dv3y) + dv4y)
+        vz = vz + h6 * (dv1z + two * (dv2z + dv3z) + dv4z)
+        wx = wx + h6 * (dw1x + two * (dw2x + dw3x) + dw4x)
+        wy = wy + h6 * (dw1y + two * (dw2y + dw3y) + dw4y)
+        wz = wz + h6 * (dw1z + two * (dw2z + dw3z) + dw4z)
         nrm2 = sx * sx + sy * sy + sz * sz
-        check(i + 1, nrm2 + vx + vy + vz + wx + wy + wz)
-        r = 1.0 / sqrt(nrm2)
+        check(step, nrm2 + vx + vy + vz + wx + wy + wz)
+        r = one / sqrt(nrm2)
         sx = sx * r; sy = sy * r; sz = sz * r
         ax(sx); ay(sy); az(sz)
         avx(vx); avy(vy); avz(vz)
@@ -396,22 +413,29 @@ def _lane_noise(traces, width: int, n_steps: int):
 
 def _lockstep(kernels, sys: SpinSystem):
     """Run the kernels of exchange-coupled sites together.  At every RK stage
-    their spins are stacked component-major (entry c*S + n is component c
-    of site n), and one (3S x 3S) matrix product gives the fields sent back."""
-    n = sys.n_sites
-    mat = np.zeros((3 * n, 3 * n))
-    for (a, b), j in sys.exchange.items():
-        mat[a::n, b::n] += j
+    site a is sent its exchange field, the sum over its bonds b of
+    Jbar(a, b) s_b at the stage spins, in plain lane arithmetic: the nine
+    tensor entries are floats, each bond's three products are summed left
+    to right, and the bonds are added in the order of their site pairs."""
+    bonds = [[] for _ in kernels]
+    for a, b in sorted(sys.exchange):
+        bonds[a].append((b, *sys.exchange[a, b].ravel().tolist()))
+    sites = list(zip(kernels, bonds))
     spins = [next(gen) for gen in kernels]
     while spins:
-        xs, ys, zs = zip(*spins)
-        f = (mat @ np.array(xs + ys + zs)).tolist()
-        spins = []
-        for gen, field in zip(kernels, zip(f[:n], f[n:2 * n], f[2 * n:])):
+        stage = []
+        for gen, site in sites:
+            jx = jy = jz = 0.0
+            for b, xx, xy, xz, yx, yy, yz, zx, zy, zz in site:
+                x, y, z = spins[b]
+                jx = jx + (xx * x + xy * y + xz * z)
+                jy = jy + (yx * x + yy * y + yz * z)
+                jz = jz + (zx * x + zy * y + zz * z)
             try:
-                spins.append(gen.send(field))
+                stage.append(gen.send((jx, jy, jz)))
             except StopIteration:  # every site returns at the same stage
                 pass
+        spins = stage
 
 
 def _kernel(cfg: IntegratorConfig, s, noise, lanes, sinks, coupled=False):
@@ -464,8 +488,7 @@ def integrate(sys: SpinSystem, cfg: IntegratorConfig, seed: int = 0,
                        bool(sys.exchange))
                for k, (xyz, vs) in enumerate(records)]
     if sys.exchange:
-        with np.errstate(all="ignore"):  # a blown-up site's inf meets matmul
-            _lockstep(kernels, sys)
+        _lockstep(kernels, sys)
     else:
         for gen in kernels:
             next(gen, None)
@@ -527,3 +550,24 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
     with np.errstate(all="ignore"):  # blown-up lanes go NaN quietly
         next(_kernel(cfg, s, noise, _member_lanes(steps), sinks), None)
     return sz, [int(k) for k in steps]
+
+
+def precession_mode(bath: BathParams, sign_gamma: float) -> complex:
+    """lambda of the noiseless small-tilt mode about +z, s+ ~ exp(lambda t)
+    with s+ = s_x + i s_y, from the linearised equations of motion (g =
+    sign_gamma).  Memory-free bath: lambda = (-eta - i g) / (1 + eta^2).
+    Resonant bath: V+ follows s+ through V+'' + Gamma V+' + omega0^2 V+ =
+    alpha s+, V_z settles at alpha/omega0^2, and ds+/dt = -i g [(1 + V_z)
+    s+ - V+], so lambda solves the cubic
+        lambda (lambda^2 + Gamma lambda + omega0^2)
+            = -i g [(1 + alpha/omega0^2)(lambda^2 + Gamma lambda + omega0^2)
+                    - alpha];
+    the precession mode is its root nearest -i g (the other two are bath
+    modes, damped at about Gamma/2)."""
+    if isinstance(bath, LorentzianParams):
+        w0sq, gam = bath.omega0 ** 2, bath.gamma_width
+        c = 1j * sign_gamma * (1.0 + bath.alpha / w0sq)
+        roots = np.roots([1.0, gam + c, w0sq + c * gam,
+                          1j * sign_gamma * w0sq])
+        return complex(min(roots, key=lambda r: abs(r + 1j * sign_gamma)))
+    return complex(-bath.eta, -sign_gamma) / (1.0 + bath.eta * bath.eta)

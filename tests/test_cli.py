@@ -576,7 +576,9 @@ methods = llg-classical
                   "noise-psd-quantum-lorentzian",
                   "noise-psd-quantum-lorentzian-set2"]
                  + [f"norm-conservation-{m}" for m in METHOD_TAGS]
-                 + ["determinism", "ohmic-limit-set2"])
+                 + ["determinism", "linear-response-ohmic",
+                    "linear-response-set1", "linear-response-set2",
+                    "ohmic-limit-set2"])
         assert [line.split()[:2] for line in lines[:-1]] == [
             ["PASS", name] for name in names]
         assert lines[-1] == "OK: all checks passed"

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from spinbath import dynamics
 from spinbath.coupling import DEFAULT_CUTOFF, power_spectrum
+from spinbath.cli import _tilt_mode
 from spinbath.dynamics import (FLOAT_LANES, IntegratorConfig, integrate,
                                integrate_members, llg_kernel,
-                               lorentzian_kernel)
+                               lorentzian_kernel, precession_mode)
 from spinbath.experiments import DEFAULT_ETA, METHOD_TAGS, method_config
 from spinbath.model import (ConfigurationError, IntegrationDivergedError,
                             LorentzianParams, OhmicParams, ParameterError,
@@ -259,6 +260,36 @@ class TestEffectiveField:
         np.testing.assert_array_equal(b.aux_v[0, 0], [0.0, 0.0, 0.0])
 
 
+class TestLinearResponse:
+    # A noiseless 1e-4 tilt off +z against precession_mode.  Relative errors
+    # of the rate / frequency fitted over t in [100, 400], numpy 2.4.6:
+    #   dt 0.15:  Ohmic 4.23e-6 / 4.23e-6, set1 3.49e-6 / 4.19e-6,
+    #             set2 9.31e-6 / 3.39e-6
+    #   dt 0.075: Ohmic 5.27e-7 / 2.64e-7, set1 5.45e-7 / 2.61e-7,
+    #             set2 8.19e-7 / 2.09e-7
+    # |lambda_fit - lambda| / |lambda| falls 16.02-16.05x as dt halves, as
+    # 4th order predicts.  The rate alone falls 6.4-11.4x: it is the small
+    # real part of a nearly imaginary lambda, and the step's higher-order
+    # terms still move it at dt = 0.15 (for the Ohmic bath it falls 9.2x,
+    # then 13.2x, at dt 0.0375 and 0.01875).  Gates sit about 1.5x above
+    # the errors.
+    @pytest.mark.parametrize("bath,rate_gates", [
+        (OhmicParams(DEFAULT_ETA), (6.5e-6, 8e-7)), (SET1, (5.5e-6, 8e-7)),
+        (SET2, (1.4e-5, 1.25e-6))])
+    def test_tilt_mode_matches_closed_form(self, bath, rate_gates):
+        want = precession_mode(bath, FRAME.sign_gamma)
+        assert precession_mode(bath, -FRAME.sign_gamma) == pytest.approx(
+            want.conjugate(), rel=1e-12)
+        errs = []
+        for dt, rate_gate, freq_gate in zip((0.15, 0.075), rate_gates,
+                                            (6.5e-6, 4e-7)):
+            got = _tilt_mode(bath, FRAME, dt)
+            assert abs(got.real - want.real) < rate_gate * abs(want.real)
+            assert abs(got.imag - want.imag) < freq_gate * abs(want.imag)
+            errs.append(abs(got - want))
+        assert 14.0 < errs[0] / errs[1] < 18.0
+
+
 class TestIntegratorPlumbing:
     def test_norm_conserved_with_noise(self):
         for method in ("llg-classical", "llg-quantum", "lorentzian-set2"):
@@ -492,10 +523,10 @@ class TestLanes:
                 assert np.array_equal(sz[:, k], one.sz())
 
     @given(st.lists(st.floats(-2, 2), min_size=15, max_size=15),
-           st.floats(0.01, 0.6))
+           st.floats(0.01, 0.6), st.floats(0.001, 1.0))
     @settings(max_examples=100, deadline=None)
-    def test_float_and_array_lanes_agree_bitwise(self, vals, h):
-        # one resonant-bath step from an arbitrary (s, V, W) and noise
+    def test_float_and_array_lanes_agree_bitwise(self, vals, h, eta):
+        # one step of each bath from an arbitrary s (and V, W) and noise
         s = np.array(vals[0:3])
         norm = np.linalg.norm(s)
         s = s / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0])
@@ -503,15 +534,54 @@ class TestLanes:
         noise = [[vals[9 + j], vals[12 + j]] for j in range(3)]
 
         def step(lanes, lane):
-            rec = [[] for _ in range(6)]
+            rec = [[] for _ in range(9)]
             s_, v_, w_ = (tuple(lane(x) for x in q) for q in state)
             noise_ = tuple([lane(x) for x in n] for n in noise)
             next(lorentzian_kernel(s_, v_, w_, noise_, 1, h, SET2, -1.0,
-                                   lanes, [r.append for r in rec]), None)
+                                   lanes, [r.append for r in rec[:6]]), None)
+            next(llg_kernel(s_, noise_, 1, h, eta, -1.0, lanes,
+                            [r.append for r in rec[6:]]), None)
             return np.array([np.ravel(r[-1])[0] for r in rec])
 
         assert np.array_equal(step(FLOAT_LANES, float),
                               step(member_lanes(2), lambda x: np.array([x, x])))
+
+    @given(st.dictionaries(
+        st.sampled_from([(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]),
+        st.lists(st.floats(-2, 2), min_size=9, max_size=9), min_size=1),
+        st.lists(st.floats(-1, 1), min_size=18, max_size=18))
+    @settings(max_examples=100, deadline=None)
+    def test_lockstep_fields_agree_on_lanes_and_with_matmul(self, raw, vals):
+        # three sites, anisotropic tensors, some pairs given one-sided; two
+        # stage spins per site, as two array lanes and as two float runs
+        system = SpinSystem(spins=np.eye(3), exchange={
+            pair: np.reshape(j, (3, 3)) for pair, j in raw.items()})
+        stage = np.reshape(vals, (2, 3, 3))  # lane, site, component
+
+        def fields(spins, shape=()):
+            sent = []
+
+            def site(spin):
+                sent.append((yield spin))
+            dynamics._lockstep([site(s) for s in spins], system)
+            # site, component[, lane]; a site without bonds gets float zeros
+            return np.array([[np.broadcast_to(c, shape) for c in f]
+                             for f in sent])
+
+        lanes = fields([tuple(stage[:, k].T) for k in range(3)], (2,))
+        mat = np.zeros((9, 9))
+        for (a, b), j in system.exchange.items():
+            mat[a::3, b::3] = j
+        for lane, spins in enumerate(stage):
+            got = fields([tuple(s) for s in spins.tolist()])
+            assert np.array_equal(lanes[:, :, lane], got)
+            # the matrix product sums a row in an order (and with fused
+            # multiply-adds) that the BLAS build picks; the two sums differ
+            # by a few ulp of the sum of the row's |terms| at most
+            flat = spins.T.ravel()  # component-major, as mat is laid out
+            ref = (mat @ flat).reshape(3, 3).T
+            scale = (np.abs(mat) @ np.abs(flat)).reshape(3, 3).T
+            assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * scale)
 
     def test_zero_field_lane_matches_its_float_run(self):
         # lane 0 sits in zero field (it does not move), lane 1 does not

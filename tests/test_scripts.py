@@ -14,13 +14,14 @@ ROOT = Path(__file__).resolve().parent.parent
 STEPS = 20  # --t-max 3 at the default dt = 0.15
 
 
-def run_script(name: str, out: Path, *flags: str) -> None:
+def run_script(name: str, *flags: str) -> str:
+    """Run scripts/<name> with flags; its standard output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, str(ROOT / "scripts" / name),
-                    "--out", str(out), *flags],
-                   env=env, check=True, capture_output=True, timeout=600)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *flags], env=env, check=True, capture_output=True,
+                          text=True, timeout=600).stdout
 
 
 def table(path: Path):
@@ -38,7 +39,8 @@ def check(path: Path, header: list, n_rows: int) -> None:
 
 
 def test_short_time_trajectories(tmp_path):
-    run_script("short_time_trajectories.py", tmp_path, "--t-max", "3")
+    run_script("short_time_trajectories.py", "--out", str(tmp_path),
+               "--t-max", "3")
     cols = [f"{m}_sz" for m in METHOD_TAGS]
     cols += [f"{m}_{c}" for m in METHOD_TAGS if m.startswith("lorentzian")
              for c in ("sx", "norm")]
@@ -47,8 +49,8 @@ def test_short_time_trajectories(tmp_path):
 
 
 def test_ensemble_relaxation(tmp_path):
-    run_script("ensemble_relaxation.py", tmp_path, "--t-max", "3",
-               "--n-traj", "2")
+    run_script("ensemble_relaxation.py", "--out", str(tmp_path),
+               "--t-max", "3", "--n-traj", "2")
     cols = ["t"]
     for m in METHOD_TAGS:
         cols += [f"{m}_mean", f"{m}_err"]
@@ -57,13 +59,22 @@ def test_ensemble_relaxation(tmp_path):
 
 
 def test_steady_state_sweep(tmp_path):
-    run_script("steady_state_sweep.py", tmp_path, "--spin-halves", "1",
-               "--replicas", "1")
+    run_script("steady_state_sweep.py", "--out", str(tmp_path),
+               "--spin-halves", "1", "--replicas", "1")
     cols = ["temperature", "oracle"]
     for m in METHOD_TAGS:
         cols += [f"{m}_sz", f"{m}_err", f"{m}_m"]
     check(tmp_path / "steady_state_n1.csv", cols, 9)
     assert not (tmp_path / "steady_state_n200.csv").exists()
+
+
+def test_kernel_widths():
+    out = run_script("kernel_widths.py", "--steps", "5", "--repeats", "1",
+                     "--widths", "2", "3")
+    lines = [l.split() for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == ["method", "float", "2", "3"]
+    assert [row[0] for row in lines[1:]] == list(METHOD_TAGS)
+    assert all(float(x) > 0.0 for row in lines[1:] for x in row[1:])
 
 
 def load_bench_pairs():
