@@ -7,8 +7,9 @@
 Each method's RK4 kernel runs at 1 K (so every method has noise) for
 --steps steps of dt 0.15 from s = -x, recording s_z as integrate_members
 does: once on float lanes, one member, and once on array lanes of each
-width.  The noise is drawn beforehand and is not timed; every lane reads
-the same trace.  The table gives the best of --repeats runs in
+width.  The noise is drawn beforehand and copied into the lanes' buffer
+untimed; every lane reads the same trace, and the lanes record s_z in the
+noise rows they have read.  The table gives the best of --repeats runs in
 microseconds per member-step.
 """
 
@@ -39,17 +40,19 @@ def float_seconds(cfg, trace) -> float:
     return time.perf_counter() - t
 
 
-def lane_seconds(cfg, noise, width: int) -> float:
-    """Wall seconds of one run on `width` array lanes; noise is the
-    (3, n_steps+1, width) buffer the lanes read."""
-    sz = np.empty((cfg.n_steps + 1, width))
+def lane_seconds(cfg, trace, width: int) -> float:
+    """Wall seconds of one run on `width` array lanes, each reading trace.
+    The noise buffer is filled untimed, and s_z is recorded into its spent
+    rows, as integrate_members records it; a run overwrites the z noise, so
+    each run gets a fresh buffer."""
+    buf = dynamics._lane_noise([trace] * width, width, cfg.n_steps)
     sinks = [dynamics._skip] * 6
-    sinks[2] = dynamics._row_sink(sz)
+    sinks[2] = dynamics._row_sink(buf[2, :cfg.n_steps + 1])
     s = tuple(np.full(width, x) for x in SPIN)
     lanes = dynamics._member_lanes(np.zeros(width, dtype=np.int64))
     t = time.perf_counter()
     with np.errstate(all="ignore"):
-        next(dynamics._kernel(cfg, s, tuple(noise), lanes, sinks), None)
+        next(dynamics._kernel(cfg, s, buf[:, 1:], lanes, sinks), None)
     return time.perf_counter() - t
 
 
@@ -60,11 +63,8 @@ def member_step_us(cfg, widths, repeats: int) -> list:
     steps = cfg.n_steps
     out = [min(float_seconds(cfg, trace) for _ in range(repeats)) / steps]
     for width in widths:
-        noise = np.empty((3, steps + 1, width))
-        noise[...] = trace.components[:, :steps + 1, None]
-        best = min(lane_seconds(cfg, noise, width) for _ in range(repeats))
+        best = min(lane_seconds(cfg, trace, width) for _ in range(repeats))
         out.append(best / (steps * width))
-        del noise
     return [1e6 * x for x in out]
 
 

@@ -141,7 +141,11 @@ class Trajectory:
 # per run, so array lanes multiply array by array and never convert a float
 # operand at each step.  The exchange field of coupled sites is plain lane
 # arithmetic too (_lockstep), sent into the kernel, a generator (see
-# llg_kernel).
+# llg_kernel).  A kernel reads a grid point's noise only in the steps on
+# either side of it, so the sinks of step i may write over grid point i-1:
+# array lanes record s_z in their spent noise rows (_lane_noise).  The lane
+# tests, which compare float and array lanes bit for bit, would see a row
+# written before its last read.
 
 def _raise_if_nonfinite(step, x):
     if not x * 0.0 == 0.0:
@@ -209,7 +213,10 @@ def llg_kernel(s, noise, n_steps, h, eta, sign_gamma, lanes, sinks,
     the unit static field along z is added, each a sequence over grid points
     0..n_steps (or more) of lanes (or floats, shared by every lane), read in
     one pass.  sinks = (x, y, z) receive the initial spin and the spin after
-    every step, called in that order.  Uncoupled, it never yields: one
+    every step, called in that order.  Grid point j's noise is read only in
+    steps j and j+1 (point 0 before step 1), so once step i has called its
+    sinks no later step reads point i-1, and a sink may write over it (as
+    integrate_members records s_z).  Uncoupled, it never yields: one
     next(gen, None) runs it.  Coupled, it yields the spin (x, y, z) of each
     RK stage: the spin s at the start of the step, then s + h/2 k1,
     s + h/2 k2 and s + h k3, k_j being the slope of stage j.  Each yield
@@ -288,8 +295,10 @@ def lorentzian_kernel(s, v, w, noise, n_steps, h, p, sign_gamma, lanes,
     s projected back to the unit sphere after every step.
 
     Arguments as for llg_kernel, plus the initial v = (vx, vy, vz) and
-    w = (wx, wy, wz) lanes; sinks = (x, y, z, v_x, v_y, v_z).  It
-    yields the four stage spins of a step when coupled, as llg_kernel does.
+    w = (wx, wy, wz) lanes; sinks = (x, y, z, v_x, v_y, v_z).  It reads
+    the noise in llg_kernel's order, so its sinks may write over a grid
+    point's noise likewise, and it yields the four stage spins of a step
+    when coupled, as llg_kernel does.
     """
     sx, sy, sz = s
     vx, vy, vz = v
@@ -402,13 +411,16 @@ def _site_noise(trace, n_steps: int):
 
 
 def _lane_noise(traces, width: int, n_steps: int):
-    """Noise lanes (bx, by, bz) from one NoiseTrace per lane, copied into a
-    (3, n_steps+1, width) buffer one at a time (so an iterator keeps a
-    single full trace alive)."""
-    buf = np.empty((3, n_steps + 1, width))
+    """(3, n_steps+2, width) buffer of one NoiseTrace per lane, grid point
+    j's noise in row j+1, copied one trace at a time (so an iterator keeps a
+    single full trace alive).  Rows 1: are the noise lanes (bx, by, bz);
+    the z rows 0..n_steps take the recorded s_z, row i once step i has read
+    grid point i-1 for the last time (see llg_kernel), so the s_z columns
+    are a view into this buffer and take no memory of their own."""
+    buf = np.empty((3, n_steps + 2, width))
     for k, tr in enumerate(traces):
-        buf[:, :, k] = tr.components[:, :n_steps + 1]
-    return buf[0], buf[1], buf[2]
+        buf[:, 1:, k] = tr.components[:, :n_steps + 1]
+    return buf
 
 
 def _lockstep(kernels, sys: SpinSystem):
@@ -509,6 +521,13 @@ def _site_stack(bufs, shape):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+def lane_step_bytes(cfg: IntegratorConfig) -> int:
+    """Bytes per member-step that integrate_members' array lanes hold: 24
+    with noise, whose buffer also takes the recorded s_z, 8 (the s_z alone)
+    without."""
+    return 8 if cfg.noise_kind is None else 24
+
+
 def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
     """s_z(t) of independent single-spin runs, one per seed.
 
@@ -518,14 +537,15 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
     array kernel, fewer one by one on float lanes.  Returns (sz, steps): sz
     has shape (n_steps+1, len(seeds)), and steps[k] is the step at which
     member k diverged (its column is then non-finite from there on), 0 if
-    it did not.
+    it did not.  With noise, the lanes' sz is a view into their noise
+    buffer (_lane_noise); lane_step_bytes gives what the lanes hold.
     """
     width = len(seeds)
     n_steps = cfg.n_steps
     sys = SpinSystem.single(initial_spin)
-    sz = np.empty((n_steps + 1, width))
     sinks = [_skip] * 6
     if width < MIN_LANES:
+        sz = np.empty((n_steps + 1, width))
         s = sys.spins[0].tolist()
         steps = [0] * width
         for k, seed in enumerate(seeds):
@@ -541,9 +561,14 @@ def integrate_members(cfg: IntegratorConfig, seeds, initial_spin):
             sz[len(col):, k] = math.nan
         return sz, steps
 
-    noise = (_site_noise(None, n_steps) if cfg.noise_kind is None else
-             _lane_noise((noise_traces(cfg, seed, 1)[0] for seed in seeds),
-                         width, n_steps))
+    if cfg.noise_kind is None:
+        noise = _site_noise(None, n_steps)
+        sz = np.empty((n_steps + 1, width))
+    else:
+        buf = _lane_noise((noise_traces(cfg, seed, 1)[0] for seed in seeds),
+                          width, n_steps)
+        noise = buf[:, 1:]
+        sz = buf[2, :n_steps + 1]  # written behind the kernel's noise reads
     steps = np.zeros(width, dtype=np.int64)
     s = tuple(np.full(width, float(x)) for x in sys.spins[0])
     sinks[2] = _row_sink(sz)

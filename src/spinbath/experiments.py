@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # integrate is unused here, but bench/spans.py traces runs under this name
-from .dynamics import MIN_LANES, IntegratorConfig, integrate, integrate_members
+from .dynamics import (MIN_LANES, IntegratorConfig, integrate,
+                       integrate_members, lane_step_bytes)
 from .model import (SET1, SET2, IntegrationDivergedError, OhmicParams,
                     ParameterError, UnitFrame)
 from .noise import derive_seed
@@ -106,19 +107,22 @@ _MAX_MEMBERS = 1_000_000
 
 # Members run in batches through dynamics.integrate_members, a batch of at
 # least MIN_LANES as the lanes of one array kernel.  A batch of lanes holds
-# its noise, three components, and its recorded s_z: 32*(n_steps+1) bytes
-# per member.  128 MB fits 1,988 members at the desk ensemble t_max (2,011
-# steps), 190 at the desk sweep t_max (20,944 steps) and 13, too few for
-# lanes, at full scale (301,593 steps).
+# its noise, three components, and records s_z in the noise rows it has
+# read: 24*(n_steps+1) bytes per member; without noise, only the s_z,
+# 8*(n_steps+1) (dynamics.lane_step_bytes).  With noise, 128 MB fits 2,650
+# members at the desk ensemble t_max (2,011 steps), 254 at the desk sweep
+# t_max (20,944 steps) and 17, too few for lanes, at full scale (301,593
+# steps).
 LANE_BUDGET_BYTES = 128_000_000
 
 
-def _ensemble_batches(n_traj: int, n_steps: int, workers: int):
-    """Contiguous (start, stop) member ranges: as few as the byte budget
-    allows, but one per worker while every batch keeps MIN_LANES members.
-    A run of fewer than MIN_LANES, on float lanes anyway, gets one per
-    worker."""
-    cap = max(1, LANE_BUDGET_BYTES // (32 * (n_steps + 1)))
+def _ensemble_batches(n_traj: int, cfg: IntegratorConfig, workers: int):
+    """Contiguous (start, stop) ranges of n_traj members of cfg: as few as
+    the byte budget allows, but one per worker while every batch keeps
+    MIN_LANES members.  A run of fewer than MIN_LANES, on float lanes
+    anyway, gets one per worker."""
+    cap = max(1, LANE_BUDGET_BYTES
+              // (lane_step_bytes(cfg) * (cfg.n_steps + 1)))
     n_batches = max(-(-n_traj // cap),
                     min(workers, n_traj // MIN_LANES or n_traj))
     edges = [n_traj * k // n_batches for k in range(n_batches + 1)]
@@ -159,7 +163,7 @@ def _run_members(points, initial_spin, workers: int = 1):
     spin = tuple(initial_spin)
     processes = _usable_workers(workers)
     jobs = [(cfg, seeds[a:b], spin) for cfg, seeds in points
-            for a, b in _ensemble_batches(len(seeds), cfg.n_steps, processes)]
+            for a, b in _ensemble_batches(len(seeds), cfg, processes)]
     for sz, steps in _pmap(integrate_members, jobs, workers):
         # copies, and the batch dropped before the next is fetched: no column
         # the caller still holds keeps a finished batch alive meanwhile
@@ -286,8 +290,13 @@ class SweepResult:
     rescaled: np.ndarray | None = None
 
 
+# _sweep_seed packs a point's temperature index into 10 bits: with more
+# temperatures, point (mi, 1024) would take the seeds of point (mi + 1, 0).
+_MAX_TEMPERATURES = 1024
+
+
 def _sweep_seed(base: int, mi: int, ti: int) -> int:
-    return derive_seed(base, ((mi + 1) * 1024 + ti) << 32)
+    return derive_seed(base, ((mi + 1) * _MAX_TEMPERATURES + ti) << 32)
 
 
 def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
@@ -303,12 +312,16 @@ def temperature_sweep(methods, temperatures, frame: UnitFrame, *,
     point is averaged_steady_state with seeds derived from its indices.  The
     replicas of all points run as batches of members on one process pool of
     `workers`, so a point's replicas may split across workers, and the
-    output does not depend on `workers`.  Too short a run fails before any
-    member runs; a divergence names the method and temperature of its point.
+    output does not depend on `workers`.  Too short a run, or more than
+    1,024 temperatures, fails before any member runs; a divergence names the
+    method and temperature of its point.
     """
     temps = np.asarray(temperatures, dtype=float)
     if temps.ndim != 1 or len(temps) == 0:
         raise ParameterError("temperatures must be a non-empty 1-d sequence")
+    if len(temps) > _MAX_TEMPERATURES:
+        raise ParameterError(f"at most {_MAX_TEMPERATURES} temperatures, "
+                             f"got {len(temps)}")
     if np.any(np.diff(temps) < 0):
         raise ParameterError("temperatures must be sorted ascending")
     if np.any(temps < 0):

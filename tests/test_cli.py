@@ -519,10 +519,12 @@ t_max = 3.0
         ("n_traj", _MAX_MEMBERS + 1, "ensemble",
          f"n_traj must be >= 2 and <= {_MAX_MEMBERS}"),
         ("n_replicas", _MAX_MEMBERS + 1, "sweep",
-         f"n_replicas must be >= 1 and <= {_MAX_MEMBERS}")],
+         f"n_replicas must be >= 1 and <= {_MAX_MEMBERS}"),
+        ("temperatures", ", ".join(["1.0"] * 1025), "sweep",
+         "at most 1024 temperatures, got 1025")],
         ids=["spin_halves", "spin_halves-huge-sweep",
              "spin_halves-0-trajectory", "spin_halves-0-sweep", "n_traj",
-             "n_replicas"])
+             "n_replicas", "temperatures"])
     def test_huge_run_size_is_a_config_error(self, tmp_path, capsys,
                                              monkeypatch, key, value, mode,
                                              message):

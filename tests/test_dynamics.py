@@ -522,6 +522,29 @@ class TestLanes:
                 one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seed)
                 assert np.array_equal(sz[:, k], one.sz())
 
+    # Peak bytes allocated per member-step by integrate_members, tracemalloc,
+    # numpy 2.4.6, 64 members, 1,000 steps: set2 at 1 K 33.4 with the s_z
+    # array beside the (3, n_steps+1, 64) noise buffer, now 25.4 with s_z
+    # recorded in the noise rows the kernel has read; llg-classical at 0 K,
+    # noiseless, 8.98 (its s_z array alone) both ways.  The rest is one
+    # member's noise trace and the kernel's per-lane temporaries.
+    @pytest.mark.parametrize("method,temp,gate", [
+        ("lorentzian-set2", 1.0, 27.0), ("llg-classical", 0.0, 10.0)])
+    def test_lane_batch_peak_memory_per_member_step(self, method, temp,
+                                                    gate):
+        cfg = method_config(method, FRAME, temp, t_max=150.0)
+        width = dynamics.MIN_LANES
+        dynamics.noise_traces(cfg, 0, 1)  # first-call imports, untraced
+        tracemalloc.start()
+        try:
+            sz, steps = integrate_members(cfg, list(range(width)),
+                                          (-1.0, 0.0, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sz.shape == (cfg.n_steps + 1, width) and not any(steps)
+        assert peak / (width * (cfg.n_steps + 1)) < gate
+
     @given(st.lists(st.floats(-2, 2), min_size=15, max_size=15),
            st.floats(0.01, 0.6), st.floats(0.001, 1.0))
     @settings(max_examples=100, deadline=None)

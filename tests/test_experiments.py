@@ -171,18 +171,37 @@ class TestEnsembleAverage:
         assert two.sz_stderr.tobytes() == many.sz_stderr.tobytes()
 
     def test_batches_follow_budget_and_workers(self):
-        batches = experiments._ensemble_batches
+        def batches(n_traj, n_steps, workers):
+            cfg = method_config("llg-quantum", FRAME, 1.0,
+                                t_max=0.15 * n_steps)
+            assert cfg.n_steps == n_steps
+            return experiments._ensemble_batches(n_traj, cfg, workers)
         lanes = dynamics.MIN_LANES
         assert batches(100, 2011, 1) == [(0, 100)]
         # a worker gets its own batch only while batches keep their lanes
         assert batches(100, 2011, 2) == [(0, 100)]
         assert batches(2 * lanes, 2011, 2) == [(0, lanes), (lanes, 2 * lanes)]
         assert batches(6, 2011, 2) == [(0, 3), (3, 6)]  # floats either way
-        assert batches(4000, 2011, 1) == [(0, 1333), (1333, 2666),
-                                          (2666, 4000)]
+        assert batches(4000, 2011, 1) == [(0, 2000), (2000, 4000)]
         assert batches(96, 20944, 1) == [(0, 96)]  # a criterion-2 point
-        full = batches(500, 301593, 1)  # full scale: 13 or fewer, on floats
-        assert len(full) == 39 and max(b - a for a, b in full) < lanes
+        full = batches(500, 301593, 1)  # full scale: 17 or fewer, on floats
+        assert len(full) == 30 and max(b - a for a, b in full) < lanes
+
+    @pytest.mark.parametrize("temp,step_bytes", [(1.0, 24), (0.0, 8)])
+    def test_batch_width_follows_bytes_per_member_step(self, monkeypatch,
+                                                       temp, step_bytes):
+        # a noisy batch holds 24 bytes of noise per member-step and records
+        # s_z in its spent noise rows; a noiseless one holds its s_z alone
+        cfg = method_config("llg-classical", FRAME, temp, t_max=300.0)
+        assert (cfg.noise_kind is None) == (temp == 0.0)
+        member = step_bytes * (cfg.n_steps + 1)
+        for width in (dynamics.MIN_LANES, 100, 1000):
+            for budget, sizes in ((width * member, [width] * 3),
+                                  ((width + 1) * member - 1, [width] * 3),
+                                  (width * member - 1, [3 * width // 4] * 4)):
+                monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES", budget)
+                got = experiments._ensemble_batches(3 * width, cfg, 1)
+                assert [b - a for a, b in got] == sizes
 
     def test_batch_split_does_not_change_the_result(self, monkeypatch):
         cfg = method_config("lorentzian-set2", FRAME, 1.0, t_max=15.0)
@@ -193,7 +212,7 @@ class TestEnsembleAverage:
         floats = ensemble_average(cfg, n, base_seed=4)
         monkeypatch.setattr(dynamics, "MIN_LANES", 8)
         monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
-                            50 * 32 * (cfg.n_steps + 1))
+                            50 * 24 * (cfg.n_steps + 1))
         three_batches = ensemble_average(cfg, n, base_seed=4)
         for other in (two_batches, floats, three_batches):
             assert np.array_equal(other.sz_mean, one_batch.sz_mean)
@@ -203,7 +222,7 @@ class TestEnsembleAverage:
     def test_batches_run_as_their_columns_are_consumed(self, monkeypatch):
         cfg = method_config("llg-classical", FRAME, 1.0, t_max=15.0)
         monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
-                            4 * 32 * (cfg.n_steps + 1))
+                            4 * 24 * (cfg.n_steps + 1))
         log = []
         real = experiments.integrate_members
 
@@ -227,7 +246,7 @@ class TestEnsembleAverage:
         cfg = method_config("llg-classical", FRAME, 1.0,
                             t_max=15.0 if consumer == "ensemble" else 2100.0)
         monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
-                            32 * (cfg.n_steps + 1))  # one member per batch
+                            24 * (cfg.n_steps + 1))  # one member per batch
         batches, alive = [], []
         real = experiments.integrate_members
 
@@ -472,8 +491,7 @@ class TestTemperatureSweep:
                 seeds = [derive_seed(experiments._sweep_seed(3, mi, ti),
                                      r << 8) for r in range(3)]
                 want += [(cfg, seeds[a:b], (-1.0, 0.0, 0.0)) for a, b in
-                         experiments._ensemble_batches(3, cfg.n_steps,
-                                                       workers)]
+                         experiments._ensemble_batches(3, cfg, workers)]
         assert calls == [(experiments.integrate_members, want, workers)]
         assert len(want) == 4 * workers  # a point's replicas split at 2
 
@@ -490,6 +508,16 @@ class TestTemperatureSweep:
             temperature_sweep(["llg-classical"], [-1.0, 1.0], FRAME)
         with pytest.raises(ParameterError):
             temperature_sweep(["llg-classical"], [], FRAME)
+
+    def test_more_temperatures_than_seed_fields_rejected(self, monkeypatch):
+        # the temperature index has 10 bits of the sweep seed; point (0, 1024)
+        # would take every replica seed of point (1, 0)
+        assert (experiments._sweep_seed(5, 0, 1024)
+                == experiments._sweep_seed(5, 1, 0))
+        forbid_runs(monkeypatch)
+        with pytest.raises(ParameterError, match="at most 1024 temperatures"):
+            temperature_sweep(["llg-classical"], np.linspace(0.0, 5.0, 1025),
+                              FRAME)
 
     def test_bad_cutoff_fails_before_any_member(self, monkeypatch):
         with pytest.raises(ParameterError, match="cutoff must be positive"):
