@@ -7,10 +7,8 @@
 The runs cover every seeded output the package writes: the CLI trajectory
 of each method with its noise dump, the ensemble and sweep CSVs at one and
 two workers, the arrays of an exchange-coupled chain, and the noise traces
-of each method at 0, 1 and 25 K.  The ensemble has MIN_LANES members,
-which run as one batch of array lanes at one worker and at two alike: a
-worker gets a batch of its own only while every batch keeps MIN_LANES
-members.
+of each method at 0, 1 and 25 K.  The ensemble has 64 members, which run
+as one batch at one worker and as two at two workers.
 
 Digests are stored under the numpy version, because the Philox white draw
 is bit-reproducible only for a fixed numpy; --write replaces this
@@ -32,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from spinbath import cli
-from spinbath.dynamics import MIN_LANES, integrate, noise_traces
+from spinbath.dynamics import integrate, noise_traces
 from spinbath.experiments import METHOD_TAGS, method_config
 from spinbath.model import SpinSystem, build_unit_frame
 
@@ -108,7 +106,7 @@ temperature = 1.0
 [run]
 mode = ensemble
 t_max = 15
-n_traj = {MIN_LANES}
+n_traj = 64
 seed = 7
 """, "--workers", workers)
         got[f"cli-ensemble-workers{workers}"] = sha256(

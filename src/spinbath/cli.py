@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .coupling import (SPECTRUM_KINDS, fdt_residuals, moment_quadrature_error,
                        psd_expansion)
-from .dynamics import (IntegratorConfig, integrate, noise_traces,
-                       precession_mode)
+from .dynamics import (BuildError, IntegratorConfig, integrate,
+                       noise_traces, precession_mode)
 from .experiments import (DEFAULT_ETA, DESK_ENSEMBLE_T_MAX, DESK_N_TRAJ,
                           DESK_SWEEP_T_MAX, METHOD_TAGS, ensemble_average,
                           method_config, statphys_oracle, temperature_sweep)
@@ -375,7 +375,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path = ".") -> int:
             _run_sweep(cfg, path)
         else:
             raise ConfigurationError(f"unknown mode {cfg.mode!r}")
-    except (IntegrationDivergedError, OSError) as err:
+    except (IntegrationDivergedError, BuildError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(f"wrote {path}")

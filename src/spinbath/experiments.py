@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # integrate is unused here, but bench/spans.py traces runs under this name
-from .dynamics import (MIN_LANES, IntegratorConfig, integrate,
-                       integrate_members, lane_step_bytes)
+from .dynamics import IntegratorConfig, integrate, integrate_members
 from .model import (SET1, SET2, IntegrationDivergedError, OhmicParams,
                     ParameterError, UnitFrame)
 from .noise import derive_seed
@@ -100,31 +99,26 @@ class EnsembleResult:
 
 # Most members (n_traj), or replicas per point (n_replicas), of one run: the
 # seed list, 44 bytes a seed, is built before any member runs, and a million
-# desk ensemble members take 13 minutes at 0.38 us a member-step, the widest
-# lanes' cost.  The paper's ensembles have 500 members.
+# desk ensemble members take 8 minutes at 0.24-0.25 us a member-step, noise
+# and averaging included (2,000 members of each method, 2-core x86-64).  The
+# paper's ensembles have 500 members.
 _MAX_MEMBERS = 1_000_000
 
 
-# Members run in batches through dynamics.integrate_members, a batch of at
-# least MIN_LANES as the lanes of one array kernel.  A batch of lanes holds
-# its noise, three components, and records s_z in the noise rows it has
-# read: 24*(n_steps+1) bytes per member; without noise, only the s_z,
-# 8*(n_steps+1) (dynamics.lane_step_bytes).  With noise, 128 MB fits 2,650
-# members at the desk ensemble t_max (2,011 steps), 254 at the desk sweep
-# t_max (20,944 steps) and 17, too few for lanes, at full scale (301,593
-# steps).
-LANE_BUDGET_BYTES = 128_000_000
+# Members run in batches through dynamics.integrate_members, one member at
+# a time, each batch returning its s_z block of 8*(n_steps+1) bytes per
+# member.  128 MB fits 7,952 members at the desk ensemble t_max (2,011
+# steps), 763 at the desk sweep t_max (20,944 steps) and 53 at full scale
+# (301,593 steps).
+SZ_BLOCK_BUDGET_BYTES = 128_000_000
 
 
 def _ensemble_batches(n_traj: int, cfg: IntegratorConfig, workers: int):
     """Contiguous (start, stop) ranges of n_traj members of cfg: as few as
-    the byte budget allows, but one per worker while every batch keeps
-    MIN_LANES members.  A run of fewer than MIN_LANES, on float lanes
-    anyway, gets one per worker."""
-    cap = max(1, LANE_BUDGET_BYTES
-              // (lane_step_bytes(cfg) * (cfg.n_steps + 1)))
-    n_batches = max(-(-n_traj // cap),
-                    min(workers, n_traj // MIN_LANES or n_traj))
+    keep every batch's s_z block within SZ_BLOCK_BUDGET_BYTES, but at least
+    one per worker while there are members to go round."""
+    cap = max(1, SZ_BLOCK_BUDGET_BYTES // (8 * (cfg.n_steps + 1)))
+    n_batches = max(-(-n_traj // cap), min(workers, n_traj))
     edges = [n_traj * k // n_batches for k in range(n_batches + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -159,7 +153,7 @@ def _run_members(points, initial_spin, workers: int = 1):
     point's members may split across workers; no column depends on
     `workers` or on the batch split, and no job raises on a divergence.
     Batches are cut for the processes that run them, so a `workers` above
-    the CPU count does not narrow the lanes."""
+    the CPU count does not cut more batches than there are processes."""
     spin = tuple(initial_spin)
     processes = _usable_workers(workers)
     jobs = [(cfg, seeds[a:b], spin) for cfg, seeds in points

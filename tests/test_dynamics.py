@@ -4,15 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbath import dynamics
 from spinbath.coupling import DEFAULT_CUTOFF, power_spectrum
 from spinbath.cli import _tilt_mode
-from spinbath.dynamics import (FLOAT_LANES, IntegratorConfig, integrate,
-                               integrate_members, llg_kernel,
-                               lorentzian_kernel, precession_mode)
+from spinbath.dynamics import (IntegratorConfig, integrate,
+                               integrate_members, precession_mode)
 from spinbath.experiments import DEFAULT_ETA, METHOD_TAGS, method_config
 from spinbath.model import (ConfigurationError, IntegrationDivergedError,
                             LorentzianParams, OhmicParams, ParameterError,
@@ -29,35 +28,70 @@ def single_run(bath, t_max, dt, spin=(-1, 0, 0), noise_kind=None, temp=0.0,
     return integrate(SpinSystem.single(spin), cfg, seed=seed)
 
 
-def llg_step(field, spin, h, eta=0.0, lanes=FLOAT_LANES):
-    """One llg_kernel step in a constant field; returns s.  The field is
-    passed as noise, less the unit static field the kernel adds on z."""
-    rec = [[] for _ in range(3)]
+def constant_noise(b, n_steps, dt):
+    """A NoiseTrace holding the bath field b at all n_steps + 1 grid points."""
+    comp = np.repeat(np.asarray(b, dtype=float)[:, None], n_steps + 1, axis=1)
+    return NoiseTrace(components=comp, dt=dt, provenance=(None, "constant"))
+
+
+def llg_step(field, spin, h, eta=0.0):
+    """One memory-free step of integrate in a constant field; returns s.
+    The field is passed as noise, less the unit static field the step adds
+    on z."""
     fx, fy, fz = field
-    noise = ([fx, fx], [fy, fy], [fz - 1.0, fz - 1.0])
-    next(llg_kernel(tuple(spin), noise, 1, h, eta, -1.0, lanes,
-                    [r.append for r in rec]), None)
-    return np.array([rec[0][-1], rec[1][-1], rec[2][-1]])
+    cfg = IntegratorConfig(frame=FRAME, bath=OhmicParams(eta), dt=h, t_max=h)
+    traj = integrate(SpinSystem.single(spin), cfg,
+                     traces=[constant_noise((fx, fy, fz - 1.0), 1, h)])
+    return traj.spins[0, 1]
+
+
+def llg_slope(s, f, eta):
+    """ds/dt of the memory-free bath with g = -1 at spin s in field f, with
+    the step's operations in its order."""
+    gp = -1.0 / (1.0 + eta * eta)
+    lam = eta / (1.0 + eta * eta)
+    return np.cross(-gp * f + lam * np.cross(s, f), s)
+
+
+def normalized(s):
+    return s * (1.0 / math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]))
 
 
 def reference_llg_step(spin, fields, h, eta):
     """Textbook RK4 on s in R^3, then s / |s|, written with numpy vectors:
     one memory-free step with g = -1 in the fields (f0, f_half, f1) at the
-    step's start, middle and end.  Its operations round as llg_kernel's do."""
-    gp = -1.0 / (1.0 + eta * eta)
-    lam = eta / (1.0 + eta * eta)
+    step's start, middle and end.  Its operations round as the compiled
+    step's do."""
     f0, fh, f1 = (np.asarray(f, dtype=float) for f in fields)
-
-    def slope(s, f):
-        return np.cross(-gp * f + lam * np.cross(s, f), s)
-
     s = np.asarray(spin, dtype=float)
-    k1 = slope(s, f0)
-    k2 = slope(s + 0.5 * h * k1, fh)
-    k3 = slope(s + 0.5 * h * k2, fh)
-    k4 = slope(s + h * k3, f1)
-    s = s + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-    return s * (1.0 / math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2]))
+    k1 = llg_slope(s, f0, eta)
+    k2 = llg_slope(s + 0.5 * h * k1, fh, eta)
+    k3 = llg_slope(s + 0.5 * h * k2, fh, eta)
+    k4 = llg_slope(s + h * k3, f1, eta)
+    return normalized(s + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4))
+
+
+def reference_lorentzian_step(state, noise, h, p):
+    """One resonant step with g = -1, written with numpy vectors: RK4 on
+    (s, V, W), then s / |s|, in the bath field noise = (b0, b_half, b1) at
+    the step's start, middle and end, to which the unit static field and V
+    are added.  Returns (s, V, W); its operations round as the compiled
+    step's do."""
+    z = np.array([0.0, 0.0, 1.0])
+
+    def slopes(s, v, w, b):
+        ds = np.cross(1.0 * (z + b + v), s)  # -g (f + V) x s
+        return ds, w, -(p.omega0 ** 2) * v - p.gamma_width * w + p.alpha * s
+
+    s, v, w = (np.asarray(x, dtype=float) for x in state)
+    b0, bh, b1 = (np.asarray(b, dtype=float) for b in noise)
+    k1 = slopes(s, v, w, b0)
+    k2 = slopes(*(x + 0.5 * h * k for x, k in zip((s, v, w), k1)), bh)
+    k3 = slopes(*(x + 0.5 * h * k for x, k in zip((s, v, w), k2)), bh)
+    k4 = slopes(*(x + h * k for x, k in zip((s, v, w), k3)), b1)
+    s, v, w = (x + h / 6.0 * (a + 2.0 * (b + c) + d)
+               for x, a, b, c, d in zip((s, v, w), k1, k2, k3, k4))
+    return normalized(s), v, w
 
 
 class TestDeterministicMotion:
@@ -246,6 +280,11 @@ class TestEffectiveField:
                             provenance=(None, "test"))
         with pytest.raises(ConfigurationError, match=r"dt=7\.0.*dt=1\.0"):
             integrate(sys, cfg, traces=[coarse])
+        for comp in (np.zeros((2, 4)), np.zeros((4, 4)), np.zeros(4)):
+            flat = NoiseTrace(components=comp, dt=1.0,
+                              provenance=(None, "test"))
+            with pytest.raises(ConfigurationError, match="three components"):
+                integrate(sys, cfg, traces=[flat])
         exact = NoiseTrace(components=np.zeros((3, 4)), dt=1.0,
                            provenance=(None, "test"))
         assert integrate(sys, cfg, traces=[exact]).spins.shape == (1, 4, 3)
@@ -353,9 +392,9 @@ class TestIntegratorPlumbing:
     # 4,000 steps, noise generated beforehand: 90.9 (llg-quantum) and 140.5
     # (lorentzian-set2) recording one buffer per channel and copying them
     # into fresh arrays; 41.8 and 66.2 recording the spin (and V)
-    # interleaved and wrapping the buffers; now 33.0 and 57.5, with |s| no
-    # longer recorded.  Per step the spin holds 24, V 24 and the times 8,
-    # plus the buffers' growth slack.
+    # interleaved and wrapping the buffers; 33.0 and 57.5 with |s| no
+    # longer recorded; now 32.4 and 56.4, the step writing into arrays of
+    # the returned size.  Per step the spin holds 24, V 24 and the times 8.
     @pytest.mark.parametrize("method,gate", [("llg-quantum", 36.0),
                                              ("lorentzian-set2", 61.0)])
     def test_peak_memory_per_step(self, method, gate):
@@ -501,40 +540,45 @@ def bad_noise_for(seed_to_break, step):
     return patched
 
 
-def member_lanes(width):
-    """The array lanes integrate_members runs its members on."""
-    return dynamics._member_lanes(np.zeros(width, dtype=np.int64))
+def site_pair_fields(system, spins):
+    """Exchange field of every site at the given spins, summed as the step
+    sums it: from 0.0, bonds in site-pair order, each bond's three products
+    added left to right."""
+    out = np.zeros_like(spins)
+    for a, b in sorted(system.exchange):
+        j = system.exchange[a, b]
+        x, y, z = spins[b]
+        out[a] = out[a] + (j[:, 0] * x + j[:, 1] * y + j[:, 2] * z)
+    return out
 
 
-class TestLanes:
+class TestStepAgainstReferences:
     @pytest.mark.parametrize("method,temp", [(m, 1.0) for m in METHOD_TAGS]
                              + [("llg-classical", 0.0)])
-    def test_members_bit_identical_to_integrate(self, method, temp,
-                                                monkeypatch):
+    def test_members_bit_identical_to_integrate(self, method, temp):
         cfg = method_config(method, FRAME, temp, t_max=30.0)
         seeds = [3, 9, 1000, 77]
-        for min_lanes in (1, len(seeds) + 1):  # array lanes, then floats
-            monkeypatch.setattr(dynamics, "MIN_LANES", min_lanes)
-            sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
-            assert sz.shape == (cfg.n_steps + 1, len(seeds))
-            assert steps == [0, 0, 0, 0]
-            for k, seed in enumerate(seeds):
-                one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seed)
-                assert np.array_equal(sz[:, k], one.sz())
+        sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
+        assert sz.shape == (cfg.n_steps + 1, len(seeds))
+        assert steps == [0, 0, 0, 0]
+        for k, seed in enumerate(seeds):
+            one = integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=seed)
+            assert np.array_equal(sz[:, k], one.sz())
 
     # Peak bytes allocated per member-step by integrate_members, tracemalloc,
-    # numpy 2.4.6, 64 members, 1,000 steps: set2 at 1 K 33.4 with the s_z
-    # array beside the (3, n_steps+1, 64) noise buffer, now 25.4 with s_z
-    # recorded in the noise rows the kernel has read; llg-classical at 0 K,
-    # noiseless, 8.98 (its s_z array alone) both ways.  The rest is one
-    # member's noise trace and the kernel's per-lane temporaries.
+    # numpy 2.4.6, 64 members run one at a time, 1,000 steps: 9.48 (set2 at
+    # 1 K) and 8.44 (llg-classical at 0 K, noiseless).  The s_z block takes
+    # 8; the rest is one member's noise trace, its colouring buffers and
+    # spins, spread over the 64 members.  (As the lanes of one array kernel,
+    # the batch took 25.4 and 8.98.)
     @pytest.mark.parametrize("method,temp,gate", [
-        ("lorentzian-set2", 1.0, 27.0), ("llg-classical", 0.0, 10.0)])
-    def test_lane_batch_peak_memory_per_member_step(self, method, temp,
-                                                    gate):
+        ("lorentzian-set2", 1.0, 10.0), ("llg-classical", 0.0, 9.0)])
+    def test_member_batch_peak_memory_per_member_step(self, method, temp,
+                                                      gate):
         cfg = method_config(method, FRAME, temp, t_max=150.0)
-        width = dynamics.MIN_LANES
+        width = 64
         dynamics.noise_traces(cfg, 0, 1)  # first-call imports, untraced
+        integrate_members(cfg, [0], (-1.0, 0.0, 0.0))  # the library, too
         tracemalloc.start()
         try:
             sz, steps = integrate_members(cfg, list(range(width)),
@@ -546,75 +590,87 @@ class TestLanes:
         assert peak / (width * (cfg.n_steps + 1)) < gate
 
     @given(st.lists(st.floats(-2, 2), min_size=15, max_size=15),
-           st.floats(0.01, 0.6), st.floats(0.001, 1.0))
+           st.floats(0.01, 0.6), st.floats(0.001, 1.0), st.integers(2, 3))
+    @example([0.6, 0.0, 0.8] + [0.0, 0.0, -1.0] * 4, 0.5, 0.1, 3)  # no field
     @settings(max_examples=100, deadline=None)
-    def test_float_and_array_lanes_agree_bitwise(self, vals, h, eta):
-        # one step of each bath from an arbitrary s (and V, W) and noise
+    def test_steps_match_numpy_references_bitwise(self, vals, h, eta,
+                                                  n_steps):
+        # n_steps of each bath from an arbitrary s in an arbitrary bath
+        # field b at each grid point; from the third step on, V and W are
+        # non-zero at its start
         s = np.array(vals[0:3])
         norm = np.linalg.norm(s)
         s = s / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0])
-        state = (s, vals[3:6], vals[6:9])
-        noise = [[vals[9 + j], vals[12 + j]] for j in range(3)]
-
-        def step(lanes, lane):
-            rec = [[] for _ in range(9)]
-            s_, v_, w_ = (tuple(lane(x) for x in q) for q in state)
-            noise_ = tuple([lane(x) for x in n] for n in noise)
-            next(lorentzian_kernel(s_, v_, w_, noise_, 1, h, SET2, -1.0,
-                                   lanes, [r.append for r in rec[:6]]), None)
-            next(llg_kernel(s_, noise_, 1, h, eta, -1.0, lanes,
-                            [r.append for r in rec[6:]]), None)
-            return np.array([np.ravel(r[-1])[0] for r in rec])
-
-        assert np.array_equal(step(FLOAT_LANES, float),
-                              step(member_lanes(2), lambda x: np.array([x, x])))
+        b = np.reshape(vals[3:], (4, 3))[:n_steps + 1]
+        trace = NoiseTrace(components=b.T.copy(), dt=h,
+                           provenance=(None, "test"))
+        f = np.array([0.0, 0.0, 1.0]) + b  # with the static field
+        for bath in (OhmicParams(eta), SET2):
+            cfg = IntegratorConfig(frame=FRAME, bath=bath, dt=h,
+                                   t_max=n_steps * h)
+            assert cfg.n_steps == n_steps
+            traj = integrate(SpinSystem(spins=s), cfg, traces=[trace])
+            state = (s, np.zeros(3), np.zeros(3))
+            for i in range(1, n_steps + 1):
+                if bath is SET2:
+                    state = reference_lorentzian_step(
+                        state, (b[i - 1], 0.5 * (b[i - 1] + b[i]), b[i]), h,
+                        SET2)
+                    assert np.array_equal(traj.aux_v[0, i], state[1])
+                else:
+                    state = (reference_llg_step(
+                        state[0], (f[i - 1], 0.5 * (f[i - 1] + f[i]), f[i]),
+                        h, eta),)
+                assert np.array_equal(traj.spins[0, i], state[0])
+            if not f.any() and bath is not SET2:  # nothing moves the spin
+                assert (traj.spins[0] == s).all()
 
     @given(st.dictionaries(
         st.sampled_from([(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]),
         st.lists(st.floats(-2, 2), min_size=9, max_size=9), min_size=1),
-        st.lists(st.floats(-1, 1), min_size=18, max_size=18))
+        st.lists(st.floats(-1, 1), min_size=9, max_size=9))
     @settings(max_examples=100, deadline=None)
-    def test_lockstep_fields_agree_on_lanes_and_with_matmul(self, raw, vals):
-        # three sites, anisotropic tensors, some pairs given one-sided; two
-        # stage spins per site, as two array lanes and as two float runs
-        system = SpinSystem(spins=np.eye(3), exchange={
+    def test_coupled_step_sums_bonds_in_site_pair_order(self, raw, vals):
+        # three sites, anisotropic tensors, some pairs given one-sided: one
+        # noiseless memory-free step against a reference whose every stage
+        # field is z + site_pair_fields at the stage spins
+        spins = np.reshape(vals, (3, 3))
+        for k, s in enumerate(spins):
+            norm = np.linalg.norm(s)
+            spins[k] = s / norm if norm > 1e-3 else np.eye(3)[k]
+        system = SpinSystem(spins=spins, exchange={
             pair: np.reshape(j, (3, 3)) for pair, j in raw.items()})
-        stage = np.reshape(vals, (2, 3, 3))  # lane, site, component
+        h, eta = 0.1, 0.2
+        cfg = IntegratorConfig(frame=FRAME, bath=OhmicParams(eta), dt=h,
+                               t_max=h)
+        traj = integrate(system, cfg)
 
-        def fields(spins, shape=()):
-            sent = []
-
-            def site(spin):
-                sent.append((yield spin))
-            dynamics._lockstep([site(s) for s in spins], system)
-            # site, component[, lane]; a site without bonds gets float zeros
-            return np.array([[np.broadcast_to(c, shape) for c in f]
-                             for f in sent])
-
-        lanes = fields([tuple(stage[:, k].T) for k in range(3)], (2,))
+        z = np.array([0.0, 0.0, 1.0])
         mat = np.zeros((9, 9))
         for (a, b), j in system.exchange.items():
             mat[a::3, b::3] = j
-        for lane, spins in enumerate(stage):
-            got = fields([tuple(s) for s in spins.tolist()])
-            assert np.array_equal(lanes[:, :, lane], got)
+
+        def slopes(stage):
+            fields = site_pair_fields(system, stage)
             # the matrix product sums a row in an order (and with fused
             # multiply-adds) that the BLAS build picks; the two sums differ
             # by a few ulp of the sum of the row's |terms| at most
-            flat = spins.T.ravel()  # component-major, as mat is laid out
+            flat = stage.T.ravel()  # component-major, as mat is laid out
             ref = (mat @ flat).reshape(3, 3).T
             scale = (np.abs(mat) @ np.abs(flat)).reshape(3, 3).T
-            assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * scale)
+            assert np.all(np.abs(fields - ref)
+                          <= 8 * np.finfo(float).eps * scale)
+            return np.array([llg_slope(p, z + j, eta)
+                             for p, j in zip(stage, fields)])
 
-    def test_zero_field_lane_matches_its_float_run(self):
-        # lane 0 sits in zero field (it does not move), lane 1 does not
-        s = (np.array([1.0, 0.6]), np.array([0.0, 0.0]), np.array([0.0, 0.8]))
-        e = (np.array([0.0, 0.3]), np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-        out = llg_step(e, s, 0.5, eta=0.1, lanes=member_lanes(2))
-        for k in range(2):
-            one = llg_step([x[k] for x in e], [x[k] for x in s], 0.5, eta=0.1)
-            assert np.array_equal(out[:, k], one)
-        assert np.array_equal(out[:, 0], [1.0, 0.0, 0.0])
+        s = system.spins
+        k1 = slopes(s)
+        k2 = slopes(s + 0.5 * h * k1)
+        k3 = slopes(s + 0.5 * h * k2)
+        k4 = slopes(s + h * k3)
+        want = s + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        for k in range(3):
+            assert np.array_equal(traj.spins[k, 1], normalized(want[k]))
 
     def test_diverging_member_reported_with_integrate_step(self, monkeypatch):
         cfg = method_config("llg-classical", FRAME, 10.0, t_max=15.0)
@@ -623,18 +679,16 @@ class TestLanes:
         with pytest.raises(IntegrationDivergedError) as err:
             integrate(SpinSystem.single((-1, 0, 0)), cfg, seed=7)
         step = err.value.step
-        for min_lanes in (1, len(seeds) + 1):  # array lanes, then floats
-            monkeypatch.setattr(dynamics, "MIN_LANES", min_lanes)
-            sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
-            assert steps == [0, 0, step, 0]
-            assert np.isfinite(sz[:step, 2]).all()
-            assert not np.isfinite(sz[step:, 2]).any()
-            for k in (0, 1, 3):
-                one = integrate(SpinSystem.single((-1, 0, 0)), cfg,
-                                seed=seeds[k])
-                assert np.array_equal(sz[:, k], one.sz())
+        sz, steps = integrate_members(cfg, seeds, (-1.0, 0.0, 0.0))
+        assert steps == [0, 0, step, 0]
+        assert np.isfinite(sz[:step, 2]).all()
+        assert np.isnan(sz[step:, 2]).all()
+        for k in (0, 1, 3):
+            one = integrate(SpinSystem.single((-1, 0, 0)), cfg,
+                            seed=seeds[k])
+            assert np.array_equal(sz[:, k], one.sz())
 
-    def test_sites_as_lanes_raise_on_divergence(self, monkeypatch):
+    def test_sites_raise_on_divergence(self, monkeypatch):
         bad = LorentzianParams(omega0=50.0, gamma_width=1.0, alpha=1.0)
         cfg = IntegratorConfig(frame=FRAME, bath=bad, dt=0.5, t_max=40.0)
         spins = np.array([[-1.0, 0, 0], [0, 1.0, 0]])

@@ -150,7 +150,7 @@ class TestEnsembleAverage:
         want = ensemble_average(cfg, 2, base_seed=3)
         got = ensemble_average(cfg, 2, base_seed=3, workers=5000)
         assert np.array_equal(got.sz_mean, want.sz_mean)
-        assert sizes == [2]  # one per batch of 2 float-lane members
+        assert sizes == [2]  # one per batch of one member
 
     def test_batches_follow_the_processes_not_the_workers_asked(
             self, monkeypatch):
@@ -163,7 +163,7 @@ class TestEnsembleAverage:
             return real(cfg, seeds, initial_spin)
         monkeypatch.setattr(experiments, "integrate_members", spy)
         cfg = method_config("llg-classical", FRAME, 10.0, t_max=3.0)
-        n = 4 * dynamics.MIN_LANES
+        n = 256
         two = ensemble_average(cfg, n, base_seed=6, workers=2)
         many = ensemble_average(cfg, n, base_seed=6, workers=5000)
         assert batches == [n // 2] * 4 and sizes == [2, 2]
@@ -176,53 +176,54 @@ class TestEnsembleAverage:
                                 t_max=0.15 * n_steps)
             assert cfg.n_steps == n_steps
             return experiments._ensemble_batches(n_traj, cfg, workers)
-        lanes = dynamics.MIN_LANES
         assert batches(100, 2011, 1) == [(0, 100)]
-        # a worker gets its own batch only while batches keep their lanes
-        assert batches(100, 2011, 2) == [(0, 100)]
-        assert batches(2 * lanes, 2011, 2) == [(0, lanes), (lanes, 2 * lanes)]
-        assert batches(6, 2011, 2) == [(0, 3), (3, 6)]  # floats either way
-        assert batches(4000, 2011, 1) == [(0, 2000), (2000, 4000)]
+        assert batches(100, 2011, 2) == [(0, 50), (50, 100)]
+        assert batches(3, 2011, 2) == [(0, 1), (1, 3)]
+        assert batches(1, 2011, 2) == [(0, 1)]  # no empty batch
+        # 7,952 members' s_z fit the budget at 2,011 steps
+        assert batches(7952, 2011, 1) == [(0, 7952)]
+        assert batches(7953, 2011, 1) == [(0, 3976), (3976, 7953)]
         assert batches(96, 20944, 1) == [(0, 96)]  # a criterion-2 point
-        full = batches(500, 301593, 1)  # full scale: 17 or fewer, on floats
-        assert len(full) == 30 and max(b - a for a, b in full) < lanes
+        full = batches(500, 301593, 1)  # the paper's ensemble, full scale
+        assert len(full) == 10 and max(b - a for a, b in full) * 8 * (
+            301593 + 1) <= experiments.SZ_BLOCK_BUDGET_BYTES
 
-    @pytest.mark.parametrize("temp,step_bytes", [(1.0, 24), (0.0, 8)])
+    @pytest.mark.parametrize("temp", [1.0, 0.0])
     def test_batch_width_follows_bytes_per_member_step(self, monkeypatch,
-                                                       temp, step_bytes):
-        # a noisy batch holds 24 bytes of noise per member-step and records
-        # s_z in its spent noise rows; a noiseless one holds its s_z alone
+                                                       temp):
+        # a batch returns an s_z block of 8 bytes per member-step, with
+        # noise or without
         cfg = method_config("llg-classical", FRAME, temp, t_max=300.0)
         assert (cfg.noise_kind is None) == (temp == 0.0)
-        member = step_bytes * (cfg.n_steps + 1)
-        for width in (dynamics.MIN_LANES, 100, 1000):
+        member = 8 * (cfg.n_steps + 1)
+        for width in (64, 100, 1000):
             for budget, sizes in ((width * member, [width] * 3),
                                   ((width + 1) * member - 1, [width] * 3),
                                   (width * member - 1, [3 * width // 4] * 4)):
-                monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES", budget)
+                monkeypatch.setattr(experiments, "SZ_BLOCK_BUDGET_BYTES",
+                                    budget)
                 got = experiments._ensemble_batches(3 * width, cfg, 1)
                 assert [b - a for a, b in got] == sizes
 
     def test_batch_split_does_not_change_the_result(self, monkeypatch):
         cfg = method_config("lorentzian-set2", FRAME, 1.0, t_max=15.0)
-        n = 2 * dynamics.MIN_LANES
+        n = 128
         one_batch = ensemble_average(cfg, n, base_seed=4)
         two_batches = ensemble_average(cfg, n, base_seed=4, workers=2)
-        monkeypatch.setattr(dynamics, "MIN_LANES", n + 1)
-        floats = ensemble_average(cfg, n, base_seed=4)
-        monkeypatch.setattr(dynamics, "MIN_LANES", 8)
-        monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
-                            50 * 24 * (cfg.n_steps + 1))
+        monkeypatch.setattr(experiments, "SZ_BLOCK_BUDGET_BYTES",
+                            50 * 8 * (cfg.n_steps + 1))
         three_batches = ensemble_average(cfg, n, base_seed=4)
-        for other in (two_batches, floats, three_batches):
+        monkeypatch.setattr(experiments, "SZ_BLOCK_BUDGET_BYTES", 1)
+        one_member_batches = ensemble_average(cfg, n, base_seed=4)
+        for other in (two_batches, three_batches, one_member_batches):
             assert np.array_equal(other.sz_mean, one_batch.sz_mean)
             assert np.array_equal(other.sz_stderr, one_batch.sz_stderr)
         assert one_batch.n_used == n
 
     def test_batches_run_as_their_columns_are_consumed(self, monkeypatch):
         cfg = method_config("llg-classical", FRAME, 1.0, t_max=15.0)
-        monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
-                            4 * 24 * (cfg.n_steps + 1))
+        monkeypatch.setattr(experiments, "SZ_BLOCK_BUDGET_BYTES",
+                            4 * 8 * (cfg.n_steps + 1))
         log = []
         real = experiments.integrate_members
 
@@ -245,8 +246,8 @@ class TestEnsembleAverage:
                                                              consumer):
         cfg = method_config("llg-classical", FRAME, 1.0,
                             t_max=15.0 if consumer == "ensemble" else 2100.0)
-        monkeypatch.setattr(experiments, "LANE_BUDGET_BYTES",
-                            24 * (cfg.n_steps + 1))  # one member per batch
+        monkeypatch.setattr(experiments, "SZ_BLOCK_BUDGET_BYTES",
+                            8 * (cfg.n_steps + 1))  # one member per batch
         batches, alive = [], []
         real = experiments.integrate_members
 
@@ -332,17 +333,7 @@ class TestSteadyState:
         assert value == window.mean()
         assert err == np.std(blocks, ddof=1) / math.sqrt(n_blocks)
 
-    @pytest.mark.parametrize("n_replicas", [1, 3])
-    def test_lane_path_does_not_change_the_result(self, monkeypatch,
-                                                  n_replicas):
-        cfg = method_config("lorentzian-set1", FRAME, 1.0,
-                            t_max=2 * math.pi * 350)
-        floats = averaged_steady_state(cfg, n_replicas, base_seed=2)
-        monkeypatch.setattr(dynamics, "MIN_LANES", 1)
-        assert averaged_steady_state(cfg, n_replicas, base_seed=2) == floats
-
-    @pytest.mark.parametrize("min_lanes", [1, 64])
-    def test_divergence_names_replica_and_step(self, monkeypatch, min_lanes):
+    def test_divergence_names_replica_and_step(self, monkeypatch):
         cfg = method_config("llg-classical", FRAME, 10.0,
                             t_max=2 * math.pi * 350)
         real = dynamics.noise_traces
@@ -353,7 +344,6 @@ class TestSteadyState:
                 traces[0].components[:, 40:] = np.inf
             return traces
         monkeypatch.setattr(dynamics, "noise_traces", patched)
-        monkeypatch.setattr(dynamics, "MIN_LANES", min_lanes)
         with pytest.raises(IntegrationDivergedError) as err:
             averaged_steady_state(cfg, 4, base_seed=7)
         assert err.value.step == 40

@@ -68,15 +68,6 @@ def test_steady_state_sweep(tmp_path):
     assert not (tmp_path / "steady_state_n200.csv").exists()
 
 
-def test_kernel_widths():
-    out = run_script("kernel_widths.py", "--steps", "5", "--repeats", "1",
-                     "--widths", "2", "3")
-    lines = [l.split() for l in out.splitlines() if not l.startswith("#")]
-    assert lines[0] == ["method", "float", "2", "3"]
-    assert [row[0] for row in lines[1:]] == list(METHOD_TAGS)
-    assert all(float(x) > 0.0 for row in lines[1:] for x in row[1:])
-
-
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
